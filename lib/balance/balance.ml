@@ -7,7 +7,7 @@ type scheme =
   | Bisection
   | Hierarchical
 
-(* Clockwise successor of [id] within the set (wrapping); [id] itself is
+(* The clockwise successor of [id] within the set (wrapping); [id] itself is
    excluded. Requires a non-empty set not reduced to [id]. *)
 let set_successor set id =
   match IdSet.find_first_opt (fun x -> x > id) set with

@@ -6,10 +6,6 @@ module Trace = Canon_telemetry.Trace
 
 exception Stuck of { at : int; key : Id.t; hops : int; path : int array }
 
-(* A generous hop budget: any genuine route is O(log n); if we exceed
-   the node count something is structurally wrong. *)
-let budget overlay = Overlay.size overlay + 1
-
 let stuck u acc key hops =
   Stuck { at = u; key; hops; path = Array.of_list (List.rev (u :: acc)) }
 
@@ -34,8 +30,10 @@ let traced tr ~kind ~key ~level run =
       Trace.record tr ~kind ~key ~outcome:Span.Stuck ~nodes:path ~level ();
       raise e
 
+(* A generous hop budget: any genuine route is O(log n); if we exceed
+   the node count something is structurally wrong. *)
 let collect overlay src step key =
-  let max_hops = budget overlay in
+  let max_hops = Overlay.size overlay + 1 in
   let rec go u acc hops =
     match step u with
     | None -> Route.{ nodes = Array.of_list (List.rev (u :: acc)) }
@@ -45,56 +43,109 @@ let collect overlay src step key =
   in
   go src [] 0
 
-let collect_generic ~n src step key =
-  let max_hops = n + 1 in
-  let rec go u acc hops =
-    match step u with
-    | None -> Route.{ nodes = Array.of_list (List.rev (u :: acc)) }
-    | Some v ->
-        if hops >= max_hops then raise (stuck u acc key hops);
-        go v (u :: acc) (hops + 1)
-  in
-  go src [] 0
+(* --- the clockwise rule over a link view --------------------------- *)
 
-let greedy_clockwise_generic ?trace ?(level = fun _ _ -> 0) ~n ~id ~links ~src ~key () =
-  let step u =
-    let du = Id.distance (id u) key in
-    if du = 0 then None
-    else begin
-      (* Largest clockwise progress that does not overshoot the key:
-         maximize distance(u, v) subject to distance(u, v) <= du,
-         equivalently minimize distance(v, key). *)
-      let best = ref (-1) and best_remaining = ref du in
-      Array.iter
-        (fun v ->
-          let remaining = Id.distance (id v) key in
-          if Id.distance (id u) (id v) <= du && remaining < !best_remaining then begin
+type view = {
+  size : int;
+  id : int -> Id.t;
+  links : int -> int array;
+  live : int -> bool;
+}
+
+let frozen overlay =
+  {
+    size = Overlay.size overlay;
+    id = Overlay.id overlay;
+    links = Overlay.links overlay;
+    live = (fun _ -> true);
+  }
+
+type step = Forward of { next : int; deviated : bool } | Arrived | Blocked
+
+(* Largest clockwise progress that does not overshoot the key: maximize
+   distance(u, v) subject to distance(u, v) <= du, equivalently minimize
+   distance(v, key). With [dead], the same pass tracks the choice with
+   nothing dead (to flag a deviation) and whether a dead link would have
+   made progress (Blocked, not Arrived: a live owner closer to the key
+   may exist but [u] cannot see it). *)
+let step ?dead view ~at:u ~key =
+  let id_u = view.id u in
+  let du = Id.distance id_u key in
+  if du = 0 then Arrived
+  else begin
+    let links = view.links u in
+    let best = ref (-1) and best_remaining = ref du in
+    match dead with
+    | None ->
+        for i = 0 to Array.length links - 1 do
+          let v = links.(i) in
+          let id_v = view.id v in
+          let remaining = Id.distance id_v key in
+          if Id.distance id_u id_v <= du && remaining < !best_remaining then begin
             best := v;
             best_remaining := remaining
-          end)
-        (links u);
-      if !best < 0 then None else Some !best
-    end
+          end
+        done;
+        if !best < 0 then Arrived else Forward { next = !best; deviated = false }
+    | Some dead ->
+        let free = ref (-1) and free_remaining = ref du and blocked = ref false in
+        for i = 0 to Array.length links - 1 do
+          let v = links.(i) in
+          let id_v = view.id v in
+          if Id.distance id_u id_v <= du then begin
+            let remaining = Id.distance id_v key in
+            if remaining < !free_remaining then begin
+              free := v;
+              free_remaining := remaining
+            end;
+            if dead v then blocked := true
+            else if remaining < !best_remaining then begin
+              best := v;
+              best_remaining := remaining
+            end
+          end
+        done;
+        if !best >= 0 then Forward { next = !best; deviated = !best <> !free }
+        else if !blocked then Blocked
+        else Arrived
+  end
+
+let no_level _ _ = 0
+
+let route ?trace ?(level = no_level) ?dead view ~src ~key =
+  (match dead with
+  | Some dead when dead src -> invalid_arg "Router.route: dead source"
+  | Some _ | None -> ());
+  let max_hops = view.size + 1 (* the same budget as [collect] *) in
+  let record outcome nodes =
+    match trace with
+    | None -> ()
+    | Some tr -> Trace.record tr ~kind:"greedy_clockwise" ~key ~outcome ~nodes ~level ()
   in
-  match trace with
-  | None -> collect_generic ~n src step key
-  | Some tr ->
-      traced tr ~kind:"greedy_clockwise_generic" ~key ~level (fun () ->
-          collect_generic ~n src step key)
+  let rec go u acc hops =
+    match step ?dead view ~at:u ~key with
+    | Forward { next; _ } ->
+        if hops >= max_hops then begin
+          let path = Array.of_list (List.rev (u :: acc)) in
+          record Span.Stuck path;
+          raise (Stuck { at = u; key; hops; path })
+        end;
+        go next (u :: acc) (hops + 1)
+    | Arrived ->
+        let nodes = Array.of_list (List.rev (u :: acc)) in
+        record Span.Arrived nodes;
+        Some Route.{ nodes }
+    | Blocked ->
+        record Span.Stranded (Array.of_list (List.rev (u :: acc)));
+        None
+  in
+  go src [] 0
 
 let greedy_clockwise ?trace overlay ~src ~key =
-  match trace with
-  | None ->
-      greedy_clockwise_generic ~n:(Overlay.size overlay)
-        ~id:(Overlay.id overlay)
-        ~links:(Overlay.links overlay)
-        ~src ~key ()
-  | Some tr ->
-      traced tr ~kind:"greedy_clockwise" ~key ~level:(level_of_edge overlay) (fun () ->
-          greedy_clockwise_generic ~n:(Overlay.size overlay)
-            ~id:(Overlay.id overlay)
-            ~links:(Overlay.links overlay)
-            ~src ~key ())
+  let level = match trace with None -> no_level | Some _ -> level_of_edge overlay in
+  match route ?trace ~level (frozen overlay) ~src ~key with
+  | Some r -> r
+  | None -> assert false (* nothing is dead, so nothing strands *)
 
 let greedy_clockwise_lookahead ?trace overlay ~src ~key =
   let step u =
@@ -159,80 +210,3 @@ let greedy_xor ?trace overlay ~src ~key =
   | Some tr ->
       traced tr ~kind:"greedy_xor" ~key ~level:(level_of_edge overlay) (fun () ->
           collect overlay src step key)
-
-type step_outcome = Forward of int | Arrived | Blocked
-
-let step_clockwise_avoiding_generic ~id ~links ~dead ~at:u ~key =
-  let du = Id.distance (id u) key in
-  if du = 0 then Arrived
-  else begin
-    let lnks = links u in
-    let best = ref (-1) and best_remaining = ref du in
-    Array.iter
-      (fun v ->
-        if not (dead v) then begin
-          let remaining = Id.distance (id v) key in
-          if Id.distance (id u) (id v) <= du && remaining < !best_remaining then begin
-            best := v;
-            best_remaining := remaining
-          end
-        end)
-      lnks;
-    if !best >= 0 then Forward !best
-    else if
-      (* Blocked, not arrived: a dead link of [u] would have made
-         progress, so a live owner closer to the key may exist but [u]
-         cannot see it. *)
-      Array.exists (fun v -> dead v && Id.distance (id u) (id v) <= du) lnks
-    then Blocked
-    else Arrived
-  end
-
-let step_clockwise_avoiding overlay ~dead ~at ~key =
-  step_clockwise_avoiding_generic
-    ~id:(fun v -> Overlay.id overlay v)
-    ~links:(fun v -> Overlay.links overlay v)
-    ~dead ~at ~key
-
-let greedy_clockwise_avoiding ?trace overlay ~dead ~src ~key =
-  if dead src then invalid_arg "Router.greedy_clockwise_avoiding: dead source";
-  let max_hops = budget overlay in
-  let step u =
-    match step_clockwise_avoiding overlay ~dead ~at:u ~key with
-    | Forward v -> Some v
-    | Arrived | Blocked -> None
-  in
-  let record outcome nodes =
-    match trace with
-    | None -> ()
-    | Some tr ->
-        Trace.record tr ~kind:"greedy_clockwise_avoiding" ~key ~outcome ~nodes
-          ~level:(level_of_edge overlay) ()
-  in
-  (* Unlike the infallible engines we must distinguish "arrived at the
-     key's live predecessor among reachable nodes" from "stranded":
-     stranded means a live link toward the key exists somewhere but this
-     node cannot see it — detectable as: some dead link of [u] would
-     have made progress. *)
-  let rec go u acc hops =
-    match step u with
-    | Some v ->
-        if hops >= max_hops then begin
-          let path = Array.of_list (List.rev (u :: acc)) in
-          record Span.Stuck path;
-          raise (Stuck { at = u; key; hops; path })
-        end;
-        go v (u :: acc) (hops + 1)
-    | None ->
-        let blocked = step_clockwise_avoiding overlay ~dead ~at:u ~key = Blocked in
-        let nodes = Array.of_list (List.rev (u :: acc)) in
-        if blocked then begin
-          record Span.Stranded nodes;
-          None
-        end
-        else begin
-          record Span.Arrived nodes;
-          Some Route.{ nodes }
-        end
-  in
-  go src [] 0

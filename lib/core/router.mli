@@ -4,13 +4,18 @@
     only its own links (plus, with lookahead, its neighbours' links) and
     forwards. Three engines cover every system in the repository:
 
-    - {!greedy_clockwise}: Chord, Crescendo, Symphony, Cacophony,
-      nondeterministic Chord/Crescendo. Routes toward a key by taking
-      the link that gets closest to the key clockwise without
-      overshooting it; terminates at the key's closest predecessor
-      among the reachable structure. Crescendo's hierarchical behaviour
-      (§2.2) — intra-domain locality, inter-domain convergence — is an
-      emergent property of this rule; no extra mechanism exists.
+    - The clockwise rule, {!step} and {!route} over a link {!view}:
+      Chord, Crescendo, Symphony, Cacophony, nondeterministic
+      Chord/Crescendo, the dynamic-maintenance simulator and the
+      message-level network. A node forwards on the link that gets
+      closest to the key clockwise without overshooting it; the route
+      ends at the key's closest predecessor among the reachable
+      structure. Crescendo's hierarchical behaviour (§2.2) —
+      intra-domain locality, inter-domain convergence — is an emergent
+      property of this rule; no extra mechanism exists. With a [dead]
+      predicate the same rule never forwards to a dead node, and a
+      route can strand. {!greedy_clockwise} is {!route} over a frozen
+      overlay.
     - {!greedy_clockwise_lookahead}: Symphony/Cacophony's 1-lookahead
       variant (§3.1) that examines neighbours' neighbours and moves to
       the first hop of the best 2-hop pair.
@@ -30,9 +35,9 @@
     used (depth of the LCA domain of its endpoints), and cumulative
     physical latency when the collector holds a latency oracle. Routes
     that exceed the hop budget emit a [Stuck] span with the partial
-    path before the exception propagates; {!greedy_clockwise_avoiding}
-    additionally emits [Stranded] spans for lookups that die at a node
-    with no live useful link. *)
+    path before the exception propagates; {!route} additionally emits
+    [Stranded] spans for lookups that die at a node with no live useful
+    link. *)
 
 open Canon_idspace
 open Canon_overlay
@@ -48,28 +53,59 @@ exception
     bug, never expected on a well-formed overlay. The partial path
     makes the broken route dumpable (and traceable) instead of lost. *)
 
-val greedy_clockwise :
-  ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
-(** Route from [src] toward [key]; the path ends at the first node
-    having no link that moves clockwise-closer to [key] without passing
-    it. On any overlay whose every node links to its global successor,
-    that final node is the global predecessor of [key]. *)
+type view = {
+  size : int;  (** node count; bounds the hop budget *)
+  id : int -> Id.t;
+  links : int -> int array;  (** a node's current links *)
+  live : int -> bool;  (** current membership *)
+}
+(** What the clockwise rule sees of an overlay. A frozen overlay gives a
+    view whose membership never changes ({!frozen}); the
+    dynamic-maintenance simulator and [canon_net]'s live membership give
+    views whose links and membership move under churn. *)
 
-val greedy_clockwise_generic :
+val frozen : Overlay.t -> view
+(** The view of a static overlay: every node is live. *)
+
+type step =
+  | Forward of { next : int; deviated : bool }
+      (** best live no-overshoot link toward the key; [deviated] when
+          that link differs from the choice with nothing dead *)
+  | Arrived  (** no node in [(at, key]] is linked at all: [at] is the
+                 key's predecessor among the reachable structure *)
+  | Blocked  (** every useful link is dead — a live owner may exist but
+                 [at] cannot see it (the stranded condition) *)
+
+val step : ?dead:(int -> bool) -> view -> at:int -> key:Id.t -> step
+(** What the node [at] does with a message for [key], in one pass over
+    its links, never forwarding to a node for which [dead] is true
+    (crashed, suspected). Without [dead] nothing is dead: the result is
+    never [Blocked] and never deviated. Message-level simulations
+    ([canon_net]) drive this hop by hop, interleaved with timeouts and
+    retries. *)
+
+val route :
   ?trace:Canon_telemetry.Trace.t ->
   ?level:(int -> int -> int) ->
-  n:int ->
-  id:(int -> Id.t) ->
-  links:(int -> int array) ->
+  ?dead:(int -> bool) ->
+  view ->
   src:int ->
   key:Id.t ->
-  unit ->
-  Route.t
-(** The same engine over any adjacency (used by the dynamic-maintenance
-    simulator, whose link state is mutable). [n] bounds the hop budget.
+  Route.t option
+(** Repeats {!step} from [src] until the message arrives; [None] when it
+    strands at a node whose every useful link is dead — the quantity the
+    fault-isolation experiment measures. Never [None] without [dead].
     Traced spans use [level] for per-hop link levels (default: 0 for
-    every edge — no hierarchy known). The trailing [unit] erases the
-    optional arguments. *)
+    every edge — no hierarchy known). Raises [Invalid_argument] when
+    [src] is dead. *)
+
+val greedy_clockwise :
+  ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
+(** {!route} over the {!frozen} overlay with nothing dead: the path ends
+    at the first node having no link that moves clockwise-closer to
+    [key] without passing it. On any overlay whose every node links to
+    its global successor, that final node is the global predecessor of
+    [key]. *)
 
 val greedy_clockwise_lookahead :
   ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
@@ -81,47 +117,6 @@ val greedy_xor :
   ?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Id.t -> Route.t
 (** Route by strictly decreasing XOR distance; ends where no link
     improves. *)
-
-val greedy_clockwise_avoiding :
-  ?trace:Canon_telemetry.Trace.t ->
-  Overlay.t ->
-  dead:(int -> bool) ->
-  src:int ->
-  key:Id.t ->
-  Route.t option
-(** Greedy clockwise routing that never forwards to a node for which
-    [dead] is true (crashed, unrepaired). Returns [None] when the
-    message strands at a node whose every useful link is dead — the
-    quantity the fault-isolation experiment measures. [src] must be
-    alive. *)
-
-type step_outcome =
-  | Forward of int  (** best live no-overshoot link toward the key *)
-  | Arrived  (** no node in [(at, key]] is linked at all: [at] is the
-                 key's predecessor among the reachable structure *)
-  | Blocked  (** every useful link is dead — a live owner may exist but
-                 [at] cannot see it (the stranded condition) *)
-
-val step_clockwise_avoiding :
-  Overlay.t -> dead:(int -> bool) -> at:int -> key:Id.t -> step_outcome
-(** One step of {!greedy_clockwise_avoiding}: what the node [at] does
-    with a message for [key] given its local knowledge of dead nodes.
-    Exposed so that message-level simulations ([canon_net]) can drive
-    the same forwarding rule hop by hop, interleaved with timeouts and
-    retries, instead of routing a whole path at once. *)
-
-val step_clockwise_avoiding_generic :
-  id:(int -> Id.t) ->
-  links:(int -> int array) ->
-  dead:(int -> bool) ->
-  at:int ->
-  key:Id.t ->
-  step_outcome
-(** {!step_clockwise_avoiding} over caller-supplied [id]/[links]
-    accessors instead of a frozen {!Overlay.t} — the hop decision a node
-    makes against {e live} link state, e.g. a membership view mutated by
-    churn while messages are in flight. The overlay version is this with
-    [Overlay.id]/[Overlay.links]. *)
 
 val level_of_edge : Overlay.t -> int -> int -> int
 (** [level_of_edge overlay u v] is the hierarchy depth of the link

@@ -5,10 +5,10 @@ module Rng = Canon_rng.Rng
 module Table = Canon_stats.Table
 
 let success_rate rng overlay ~dead ~members ~probes =
-  let delivered = ref 0 in
+  let view = Router.frozen overlay and delivered = ref 0 in
   for _ = 1 to probes do
     let src = Rng.pick rng members and dst = Rng.pick rng members in
-    match Router.greedy_clockwise_avoiding overlay ~dead ~src ~key:(Overlay.id overlay dst) with
+    match Router.route ~dead view ~src ~key:(Overlay.id overlay dst) with
     | Some route when Route.destination route = dst -> incr delivered
     | Some _ | None -> ()
   done;

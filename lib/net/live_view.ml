@@ -50,3 +50,8 @@ let links t v =
             let l = Chord.links_of_id global pop.Population.ids.(v) ~self:v in
             Hashtbl.add t.memo v l;
             l)
+
+let view t =
+  match t.construction with
+  | Crescendo -> Maintenance.view t.m
+  | Chord_global -> { (Maintenance.view t.m) with Router.links = links t }

@@ -40,6 +40,10 @@ val is_live : t -> int -> bool
 val links : t -> int -> int array
 (** Current links of a node; [[||]] when it is not live. *)
 
+val view : t -> Canon_core.Router.view
+(** {!is_live} and {!links} as the link view routing consults; it reads
+    the membership of the moment at every use. *)
+
 val rings : t -> Canon_overlay.Rings.t
 (** The live per-domain rings (do not hold across membership events). *)
 

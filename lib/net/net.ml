@@ -15,8 +15,11 @@ type t = {
   plan : Fault_plan.t;
   policy : Rpc.policy;
   rng : Rng.t;
-  rings : Rings.t option;
-  live : Live_view.t option;
+  view : Router.view;
+  (* Leaf-set rings and their generation: a snapshot's never move, a
+     live view's are re-derived after every membership event. *)
+  leaf_rings : unit -> Rings.t option;
+  generation : unit -> int;
   leaf_width : int;
   suspicion : suspicion;
   suspected : bool array;
@@ -53,18 +56,25 @@ let create ?(policy = Rpc.default) ?plan ?rings ?live ?(leaf_width = 4)
   | Some r when Rings.population r != Overlay.population overlay ->
       invalid_arg "Net.create: rings built over a different population"
   | Some _ | None -> ());
-  (match live with
-  | Some lv when Live_view.population lv != Overlay.population overlay ->
-      invalid_arg "Net.create: live view over a different population"
-  | Some _ | None -> ());
+  let view, leaf_rings, generation =
+    match live with
+    | None -> (Router.frozen overlay, (fun () -> rings), fun () -> 0)
+    | Some lv ->
+        if Live_view.population lv != Overlay.population overlay then
+          invalid_arg "Net.create: live view over a different population";
+        ( Live_view.view lv,
+          (fun () -> Some (Live_view.rings lv)),
+          fun () -> Live_view.generation lv )
+  in
   {
     overlay;
     node_latency;
     plan;
     policy;
     rng;
-    rings;
-    live;
+    view;
+    leaf_rings;
+    generation;
     leaf_width;
     suspicion;
     suspected = Array.make n false;
@@ -76,13 +86,6 @@ let overlay t = t.overlay
 
 let plan t = t.plan
 
-(* Membership and link state the routing rule consults: the frozen
-   overlay snapshot by default, the live view when one is installed. *)
-let node_live t v = match t.live with None -> true | Some lv -> Live_view.is_live lv v
-
-let node_links t v =
-  match t.live with None -> Overlay.links t.overlay v | Some lv -> Live_view.links lv v
-
 let suspected_nodes t =
   let out = ref [] in
   for v = Array.length t.suspected - 1 downto 0 do
@@ -93,40 +96,31 @@ let suspected_nodes t =
 let clear_suspicions t = Array.fill t.suspected 0 (Array.length t.suspected) false
 
 let leaf_sets t u =
-  match t.live with
-  | Some lv ->
-      let gen = Live_view.generation lv in
-      if gen <> t.leaf_cache_gen then begin
-        Array.fill t.leaf_cache 0 (Array.length t.leaf_cache) None;
-        t.leaf_cache_gen <- gen
-      end;
-      (match t.leaf_cache.(u) with
-      | Some sets -> sets
-      | None ->
-          let sets = Leaf_sets.successors (Live_view.rings lv) ~node:u ~width:t.leaf_width in
+  let gen = t.generation () in
+  if gen <> t.leaf_cache_gen then begin
+    Array.fill t.leaf_cache 0 (Array.length t.leaf_cache) None;
+    t.leaf_cache_gen <- gen
+  end;
+  match t.leaf_cache.(u) with
+  | Some sets -> sets
+  | None -> (
+      match t.leaf_rings () with
+      | None -> [||]
+      | Some rings ->
+          let sets = Leaf_sets.successors rings ~node:u ~width:t.leaf_width in
           t.leaf_cache.(u) <- Some sets;
           sets)
-  | None -> (
-      match t.rings with
-      | None -> [||]
-      | Some rings -> (
-          match t.leaf_cache.(u) with
-          | Some sets -> sets
-          | None ->
-              let sets = Leaf_sets.successors rings ~node:u ~width:t.leaf_width in
-              t.leaf_cache.(u) <- Some sets;
-              sets))
 
 let reanchor_candidate t ~at ~key =
-  let id_at = Overlay.id t.overlay at in
+  let id_at = t.view.id at in
   let du = Id.distance id_at key in
   if du = 0 then None
   else begin
     let best = ref (-1) and best_d = ref max_int in
     Array.iter
       (Array.iter (fun w ->
-           if (not t.suspected.(w)) && node_live t w then begin
-             let dw = Id.distance id_at (Overlay.id t.overlay w) in
+           if (not t.suspected.(w)) && t.view.live w then begin
+             let dw = Id.distance id_at (t.view.id w) in
              if dw > 0 && dw <= du && dw < !best_d then begin
                best := w;
                best_d := dw
@@ -254,33 +248,17 @@ let transmit t ~now ~push m =
   then push ~time:(now +. lat) (Deliver m);
   push ~time:(now +. t.policy.Rpc.timeout_ms) (Timeout m)
 
-let fault_free_next t u ~key =
-  match
-    Router.step_clockwise_avoiding_generic
-      ~id:(fun v -> Overlay.id t.overlay v)
-      ~links:(node_links t)
-      ~dead:(fun _ -> false)
-      ~at:u ~key
-  with
-  | Router.Forward w -> Some w
-  | Router.Arrived | Router.Blocked -> None
-
 let forward t p ~now ~push u v =
-  if fault_free_next t u ~key:p.p_key <> Some v then p.p_st.deviated <- true;
   transmit t ~now ~push { lk = p; from_ = u; to_ = v; attempt = 0; got_through = false }
 
 (* What the node holding the message does next, given its current
    knowledge of suspects and the membership of this moment. *)
 let step_at t p ~now ~push u =
   let st = p.p_st in
-  match
-    Router.step_clockwise_avoiding_generic
-      ~id:(fun v -> Overlay.id t.overlay v)
-      ~links:(node_links t)
-      ~dead:(fun v -> t.suspected.(v))
-      ~at:u ~key:p.p_key
-  with
-  | Router.Forward v -> forward t p ~now ~push u v
+  match Router.step ~dead:(Array.get t.suspected) t.view ~at:u ~key:p.p_key with
+  | Router.Forward { next; deviated } ->
+      if deviated then st.deviated <- true;
+      forward t p ~now ~push u next
   | Router.Arrived -> finish t p ~now (if st.deviated then Rerouted else Delivered)
   | Router.Blocked -> (
       match reanchor_candidate t ~at:u ~key:p.p_key with
@@ -293,7 +271,7 @@ let step_at t p ~now ~push u =
 
 let launch ?on_done t ~now ~push ~src ~key =
   if Fault_plan.is_crashed t.plan src then invalid_arg "Net.lookup: crashed source";
-  if not (node_live t src) then invalid_arg "Net.lookup: source not live";
+  if not (t.view.live src) then invalid_arg "Net.lookup: source not live";
   Metrics.incr m_lookups;
   let st =
     {
@@ -325,13 +303,13 @@ let handle t ~now ~push ev =
       finish t p ~now Async_route.Failed ~failure:Async_route.Deadline
     end
     else
-      let max_hops = Overlay.size t.overlay + 1 in
+      let max_hops = t.view.size + 1 in
       match ev with
       | Send m -> transmit t ~now ~push m
       | Deliver m ->
           (* A target that left while the hop was in flight never
              receives it; the sender finds out at the timeout. *)
-          if node_live t m.to_ then begin
+          if t.view.live m.to_ then begin
             m.got_through <- true;
             st.rev_path <- m.to_ :: st.rev_path;
             st.hops <- st.hops + 1;
@@ -359,7 +337,7 @@ let handle t ~now ~push ev =
                 t.suspected.(m.to_) <- true;
                 st.newly_suspected <- m.to_ :: st.newly_suspected
               end;
-              if node_live t m.from_ then step_at t p ~now ~push m.from_
+              if t.view.live m.from_ then step_at t p ~now ~push m.from_
               else
                 (* The holder itself left while waiting on the RPC: the
                    message dies with it. *)

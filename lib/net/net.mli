@@ -13,7 +13,8 @@
       backoff, up to [max_retries] times;
     + {e reroute}: when the budget is exhausted the target is marked
       suspect and the sender re-runs the greedy rule avoiding suspects
-      ({!Canon_core.Router.step_clockwise_avoiding});
+      ({!Canon_core.Router.step} with suspects as [dead]; the same pass
+      flags the hop as a deviation from the fault-free choice);
     + {e re-anchor}: when every useful link is suspect, the sender falls
       back to its per-level leaf sets ({!Canon_sim.Leaf_sets}) and
       forwards to the nearest non-suspect successor that makes clockwise
@@ -65,14 +66,17 @@ val create :
     with attachment points). [plan] defaults to fault-free; [policy] to
     {!Rpc.default}. [rings] enables leaf-set re-anchoring with
     [leaf_width] successors per level (default 4; without [rings] a
-    blocked lookup fails instead of re-anchoring). [live] switches the
-    network to {e live membership} mode: hop selection, deviation
-    detection and leaf-set fallbacks consult the {!Live_view} (mutated
-    by churn between events) instead of the frozen [overlay], a hop
-    whose target departed in flight is not delivered (the sender times
-    out and routes around it), and leaf sets come from the view's rings,
-    re-derived whenever its generation changes. With a [live] view whose
-    membership never changes, behavior is identical to snapshot mode.
+    blocked lookup fails instead of re-anchoring). The network always
+    routes over a {!Canon_core.Router.view}. By default that is the
+    frozen [overlay] (snapshot mode): membership never changes and the
+    leaf sets of [rings] are derived once. [live] switches the network
+    to {e live membership} mode: hop selection, deviation detection and
+    leaf-set fallbacks consult the {!Live_view} (mutated by churn
+    between events), a hop whose target departed in flight is not
+    delivered (the sender times out and routes around it), and leaf
+    sets come from the view's rings, re-derived whenever its generation
+    changes. With a [live] view whose membership never changes, behavior
+    is identical to snapshot mode.
     Raises [Invalid_argument] on a plan/overlay size mismatch, a
     rings/live view over a different population, an invalid policy, or
     [leaf_width < 1]. *)

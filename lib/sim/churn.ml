@@ -145,7 +145,6 @@ let leave_message_mean d =
   if d.d_leaves = 0 then 0.0 else Float.of_int d.d_leave_msgs /. Float.of_int d.d_leaves
 
 let run ?on_event rng pop config =
-  let n = Population.size pop in
   let d, schedule = prepare ?on_event rng pop config in
   let m = d.d_m in
   let queue = Event_queue.create () in
@@ -154,6 +153,7 @@ let run ?on_event rng pop config =
   List.iter (fun (dt, kind) -> Event_queue.push queue ~time:dt kind) schedule;
   let clock = ref 0.0 in
   let probes = ref 0 and failed = ref 0 in
+  let view = Maintenance.view m in
   let probe () =
     let live = Maintenance.present m in
     if Array.length live >= 2 then begin
@@ -161,16 +161,16 @@ let run ?on_event rng pop config =
       Metrics.incr probes_counter;
       let src = Rng.pick rng live and dst = Rng.pick rng live in
       let route =
-        Router.greedy_clockwise_generic
-          ?trace:(Canon_telemetry.Trace.ambient ())
-          ~level:(fun u v ->
-            Canon_hierarchy.Domain_tree.depth pop.Population.tree
-              (Population.lca_of_nodes pop u v))
-          ~n
-          ~id:(fun v -> pop.Population.ids.(v))
-          ~links:(fun v -> if Maintenance.is_present m v then Maintenance.links m v else [||])
-          ~src
-          ~key:pop.Population.ids.(dst) ()
+        match
+          Router.route
+            ?trace:(Canon_telemetry.Trace.ambient ())
+            ~level:(fun u v ->
+              Canon_hierarchy.Domain_tree.depth pop.Population.tree
+                (Population.lca_of_nodes pop u v))
+            view ~src ~key:pop.Population.ids.(dst)
+        with
+        | Some route -> route
+        | None -> assert false (* nothing is dead, so nothing strands *)
       in
       Metrics.observe probe_hops_hist (Float.of_int (Canon_overlay.Route.hops route));
       if Canon_overlay.Route.destination route <> dst then begin

@@ -59,6 +59,16 @@ let links t node =
 
 let rings t = t.rings
 
+(* Absent nodes hold no links: [leave] and [crash] clear them. *)
+let view t =
+  Router.
+    {
+      size = Population.size t.pop;
+      id = (fun v -> t.pop.Population.ids.(v));
+      links = (fun v -> t.links.(v));
+      live = (fun v -> t.present.(v));
+    }
+
 let overlay t = Overlay.create t.pop ~links:(Array.map Array.copy t.links)
 
 let same_link_set a b =
@@ -138,18 +148,16 @@ let join t m =
     match bootstrap with
     | None -> 0
     | Some b ->
-        let route =
-          Router.greedy_clockwise_generic
+        match
+          Router.route
             ?trace:(Canon_telemetry.Trace.ambient ())
             ~level:(fun u v ->
               Canon_hierarchy.Domain_tree.depth t.pop.Population.tree
                 (Population.lca_of_nodes t.pop u v))
-            ~n
-            ~id:(fun v -> t.pop.Population.ids.(v))
-            ~links:(fun v -> t.links.(v))
-            ~src:b ~key:id_m ()
-        in
-        Route.hops route
+            (view t) ~src:b ~key:id_m
+        with
+        | Some route -> Route.hops route
+        | None -> assert false (* nothing is dead, so nothing strands *)
   in
   Rings.add_node t.rings m;
   t.present.(m) <- true;

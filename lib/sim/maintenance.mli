@@ -54,7 +54,7 @@ val crash : t -> int -> unit
 (** Abrupt failure: the node vanishes without running the departure
     protocol, so other nodes keep {e stale links} pointing at it until
     {!repair} runs. Lookups in the window must route around the corpse
-    ({!Canon_core.Router.greedy_clockwise_avoiding}), falling back on
+    ({!Canon_core.Router.route} with [~dead]), falling back on
     leaf-set entries as §2.3 intends. *)
 
 val stale_nodes : t -> int array
@@ -70,6 +70,10 @@ val repair : t -> stats
 
 val links : t -> int -> int array
 (** Current links of a live node. *)
+
+val view : t -> Canon_core.Router.view
+(** The current link state and membership, read at each use: routing
+    over it follows joins, leaves and crashes as they happen. *)
 
 val overlay : t -> Overlay.t
 (** Immutable snapshot: absent nodes have no links. *)

@@ -1,27 +1,19 @@
 module Metrics = Canon_telemetry.Metrics
 
 (* Process-wide telemetry, bound once (see Metrics). Counters aggregate
-   over every oracle in the process; the gauge tracks the most recently
-   mutated oracle's resident-row count. *)
+   over every oracle in the process; per-oracle figures are in [stats]. *)
 let m_rows = Metrics.counter "latency.rows_computed"
 let m_hits = Metrics.counter "latency.hits"
 let m_misses = Metrics.counter "latency.misses"
-let m_evictions = Metrics.counter "latency.evictions"
-let g_resident = Metrics.gauge "latency.rows_resident"
-
-type row = { dist : float array; mutable last_used : int }
 
 type t = {
   topology : Transit_stub.t;
   graph : Graph.t;
   access : float;
-  rows : (int, row) Hashtbl.t; (* per-source shortest-path rows, on demand *)
-  max_rows : int option;
-  mutable tick : int; (* recency clock for LRU eviction *)
+  rows : float array array; (* per-source shortest-path rows; [||] until first use *)
   mutable computed : int;
   mutable hit : int;
   mutable miss : int;
-  mutable evicted : int;
 }
 
 type stats = {
@@ -29,83 +21,45 @@ type stats = {
   rows_resident : int;
   hits : int;
   misses : int;
-  evictions : int;
 }
 
-let create ?max_rows ts =
-  (match max_rows with
-  | Some cap when cap < 1 -> invalid_arg "Latency.create: max_rows must be >= 1"
-  | Some _ | None -> ());
+let create ts =
+  let graph = Transit_stub.graph ts in
   {
     topology = ts;
-    graph = Transit_stub.graph ts;
+    graph;
     access = (Transit_stub.params ts).Transit_stub.access_ms;
-    rows = Hashtbl.create 64;
-    max_rows;
-    tick = 0;
+    rows = Array.make (Graph.num_vertices graph) [||];
     computed = 0;
     hit = 0;
     miss = 0;
-    evicted = 0;
   }
 
 let topology t = t.topology
 
-let evict_lru t =
-  let victim = ref (-1) and oldest = ref max_int in
-  Hashtbl.iter
-    (fun src r ->
-      if r.last_used < !oldest then begin
-        victim := src;
-        oldest := r.last_used
-      end)
-    t.rows;
-  if !victim >= 0 then begin
-    Hashtbl.remove t.rows !victim;
-    t.evicted <- t.evicted + 1;
-    Metrics.incr m_evictions
-  end
-
 let row t src =
-  t.tick <- t.tick + 1;
-  match Hashtbl.find_opt t.rows src with
-  | Some r ->
-      r.last_used <- t.tick;
-      t.hit <- t.hit + 1;
-      Metrics.incr m_hits;
-      r.dist
-  | None ->
-      t.miss <- t.miss + 1;
-      Metrics.incr m_misses;
-      let dist = Graph.dijkstra t.graph src in
-      (match t.max_rows with
-      | Some cap when Hashtbl.length t.rows >= cap -> evict_lru t
-      | Some _ | None -> ());
-      Hashtbl.replace t.rows src { dist; last_used = t.tick };
-      t.computed <- t.computed + 1;
-      Metrics.incr m_rows;
-      Metrics.set g_resident (Float.of_int (Hashtbl.length t.rows));
-      dist
-
-let create_eager ts =
-  let t = create ts in
-  for src = 0 to Graph.num_vertices t.graph - 1 do
-    ignore (row t src)
-  done;
-  t
+  let r = t.rows.(src) in
+  if Array.length r > 0 then begin
+    t.hit <- t.hit + 1;
+    Metrics.incr m_hits;
+    r
+  end
+  else begin
+    t.miss <- t.miss + 1;
+    Metrics.incr m_misses;
+    let dist = Graph.dijkstra t.graph src in
+    t.rows.(src) <- dist;
+    t.computed <- t.computed + 1;
+    Metrics.incr m_rows;
+    dist
+  end
 
 let router_latency t a b = (row t a).(b)
 
 let node_latency t a b = t.access +. (row t a).(b) +. t.access
 
 let stats t =
-  {
-    rows_computed = t.computed;
-    rows_resident = Hashtbl.length t.rows;
-    hits = t.hit;
-    misses = t.miss;
-    evictions = t.evicted;
-  }
+  { rows_computed = t.computed; rows_resident = t.computed; hits = t.hit; misses = t.miss }
 
 let mean_node_latency t rng ~samples =
   if samples <= 0 then invalid_arg "Latency.mean_node_latency: samples must be positive";

@@ -2,12 +2,11 @@
 
     Distances are computed {e on demand}: the first query from a source
     router runs one single-source Dijkstra and memoizes the whole row
-    (a [float array] over destinations), so {!create} is O(1) and a
-    workload that touches [k] distinct sources costs [k] Dijkstras and
-    [k * V] floats — never the O(V^2) all-pairs table the eager oracle
-    materialized. An optional [max_rows] cap bounds resident memory via
-    least-recently-used row eviction (an evicted row is recomputed
-    bit-identically on its next use, since Dijkstra is deterministic).
+    (a [float array] over destinations) in a router-indexed array, so
+    {!create} runs no shortest-path work and a workload that touches
+    [k] distinct sources costs [k] Dijkstras and [k * V] floats — never
+    the O(V^2) all-pairs table an eager oracle materializes. Each row is
+    computed once and stays resident.
 
     Overlay nodes attach to stub routers over an access link
     ([access_ms], 1 ms in the paper), so the latency between two overlay
@@ -16,22 +15,12 @@
     stub router, matching the paper's observation.
 
     Every oracle feeds the process-wide [latency.*] telemetry counters
-    (rows computed, hits, misses, evictions) and the
-    [latency.rows_resident] gauge. *)
+    (rows computed, hits, misses); {!stats} gives one oracle's own. *)
 
 type t
 
-val create : ?max_rows:int -> Transit_stub.t -> t
-(** O(1): no shortest-path work happens until the first query. When
-    [max_rows] is given (>= 1, else [Invalid_argument]), at most that
-    many memoized rows stay resident, evicted LRU. *)
-
-val create_eager : Transit_stub.t -> t
-(** The pre-PR-4 behaviour: computes every row up front (one Dijkstra
-    per router — on the order of a second and ~32 MB for the default
-    2040-router topology, and quadratically worse beyond). Kept for
-    benchmarking the lazy oracle against and for workloads that touch
-    every source anyway. Queries answer identically to {!create}. *)
+val create : Transit_stub.t -> t
+(** No shortest-path work happens until the first query. *)
 
 val topology : t -> Transit_stub.t
 
@@ -45,16 +34,14 @@ val node_latency : t -> int -> int -> float
     access links. [r1 = r2] gives twice the access latency. *)
 
 type stats = {
-  rows_computed : int;  (** Dijkstra runs, including recomputations after eviction *)
-  rows_resident : int;  (** rows currently memoized (peak = cap when bounded) *)
+  rows_computed : int;  (** Dijkstra runs, one per distinct source queried *)
+  rows_resident : int;  (** rows currently memoized (= [rows_computed]) *)
   hits : int;  (** queries answered from a memoized row *)
   misses : int;  (** queries that had to run Dijkstra *)
-  evictions : int;  (** rows dropped by the [max_rows] LRU policy *)
 }
 
 val stats : t -> stats
-(** This oracle's counters since {!create}. [create_eager] reports one
-    miss/row-computed per router. *)
+(** This oracle's counters since {!create}. *)
 
 val mean_node_latency : t -> Canon_rng.Rng.t -> samples:int -> float
 (** Monte-Carlo estimate of the mean direct latency between two overlay

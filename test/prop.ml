@@ -344,16 +344,136 @@ let prop_read_repair_restores_invariant sc =
       (Ok ()) keys
   end
 
+(* --- the one-pass clockwise step ------------------------------------ *)
+
+(* A tiny effective ID space without touching [Id]: ids are multiples of
+   2^25, so the ring has 128 slots and wrap-around, equal ids and
+   neighbouring ids are common. Link sets are arbitrary (self-links and
+   repeats included), so every corner of the rule gets exercised. *)
+let slot rng = Rng.int_below rng 128 lsl 25
+
+let tiny_view ~case_seed ~n =
+  let rng = Rng.create case_seed in
+  let ids = Array.init n (fun _ -> slot rng) in
+  let links =
+    Array.init n (fun _ -> Array.init (Rng.int_below rng (n + 1)) (fun _ -> Rng.int_below rng n))
+  in
+  let dead_frac = Rng.float rng in
+  let dead = Array.init n (fun _ -> Rng.float rng < dead_frac) in
+  let keys = Array.init 16 (fun _ -> if Rng.bool rng then slot rng else Id.random rng) in
+  let view =
+    Router.{ size = n; id = Array.get ids; links = Array.get links; live = (fun v -> not dead.(v)) }
+  in
+  (view, Array.get dead, keys)
+
+(* The reference: the clockwise rule stated in separate passes. One
+   pass picks the best live no-overshoot link, an [Array.exists] pass
+   tells Blocked from Arrived, and a separate fault-free pass (the same
+   rule with nothing dead) decides whether the live choice is a
+   deviation. [Router.step] must agree while scanning the links once. *)
+let reference_step (view : Router.view) ~dead ~at:u ~key =
+  let pass dead =
+    let du = Id.distance (view.id u) key in
+    if du = 0 then `Arrived
+    else begin
+      let lnks = view.links u in
+      let best = ref (-1) and best_remaining = ref du in
+      Array.iter
+        (fun v ->
+          if not (dead v) then begin
+            let remaining = Id.distance (view.id v) key in
+            if Id.distance (view.id u) (view.id v) <= du && remaining < !best_remaining then begin
+              best := v;
+              best_remaining := remaining
+            end
+          end)
+        lnks;
+      if !best >= 0 then `Forward !best
+      else if Array.exists (fun v -> dead v && Id.distance (view.id u) (view.id v) <= du) lnks
+      then `Blocked
+      else `Arrived
+    end
+  in
+  match pass dead with
+  | `Forward v ->
+      let nothing_dead_next =
+        match pass (fun _ -> false) with `Forward w -> Some w | `Arrived | `Blocked -> None
+      in
+      (`Forward v, nothing_dead_next <> Some v)
+  | (`Arrived | `Blocked) as outcome -> (outcome, false)
+
+let outcome_of = function
+  | Router.Forward { next; deviated } -> (`Forward next, deviated)
+  | Router.Arrived -> (`Arrived, false)
+  | Router.Blocked -> (`Blocked, false)
+
+let show_outcome = function
+  | `Forward v, deviated -> Printf.sprintf "Forward %d%s" v (if deviated then " (deviated)" else "")
+  | `Arrived, _ -> "Arrived"
+  | `Blocked, _ -> "Blocked"
+
+let nodes_of route =
+  match route () with
+  | Some r -> Ok (Some r.Route.nodes)
+  | None -> Ok None
+  | exception Router.Stuck { at; _ } -> Error at
+
+let prop_step_one_pass ~case_seed ~n =
+  let view, dead, keys = tiny_view ~case_seed ~n in
+  let check_node u key =
+    let expect = reference_step view ~dead ~at:u ~key in
+    let got = outcome_of (Router.step ~dead view ~at:u ~key) in
+    if got <> expect then
+      err "step ~dead at %d key %d: %s, two-pass rule says %s" u key (show_outcome got)
+        (show_outcome expect)
+    else
+      let expect = reference_step view ~dead:(fun _ -> false) ~at:u ~key in
+      let got = outcome_of (Router.step view ~at:u ~key) in
+      if got <> expect then
+        err "step at %d key %d: %s, two-pass rule says %s" u key (show_outcome got)
+          (show_outcome expect)
+      else if
+        nodes_of (fun () -> Router.route view ~src:u ~key)
+        <> nodes_of (fun () -> Router.route ~dead:(fun _ -> false) view ~src:u ~key)
+      then err "route from %d to key %d: no dead <> dead = nothing" u key
+      else Ok ()
+  in
+  let rec go u k =
+    if u >= n then Ok ()
+    else if k >= Array.length keys then go (u + 1) 0
+    else match check_node u keys.(k) with Ok () -> go u (k + 1) | Error _ as e -> e
+  in
+  go 0 0
+
+(* Seeded cases over random sizes; a failure shrinks by halving the node
+   count under the same case seed and reports the smallest failing size. *)
+let prop_step_matches_two_pass () =
+  for case = 0 to 299 do
+    let case_seed = 31337 + (977 * case) in
+    let fails n = match prop_step_one_pass ~case_seed ~n with Ok () -> None | Error m -> Some m in
+    let n = 1 + Rng.int_below (Rng.create case_seed) 24 in
+    match fails n with
+    | None -> ()
+    | Some first ->
+        let rec shrink n msg =
+          let half = n / 2 in
+          if half < 1 then (n, msg)
+          else match fails half with Some msg' -> shrink half msg' | None -> (n, msg)
+        in
+        let smallest, msg = shrink n first in
+        Alcotest.failf "case seed %d: fails at n = %d (shrunk from n = %d): %s" case_seed smallest n
+          msg
+  done
+
 (* --- the latency oracle and percentile edges ----------------------- *)
 
 module Transit_stub = Canon_topology.Transit_stub
 module Latency = Canon_topology.Latency
 module Stats = Canon_stats.Stats
 
-(* Lazy, memory-capped-lazy and eager oracles answer bit-identically for
+(* The lazy oracle answers bit-identically to direct Dijkstra rows for
    random pairs on random seeded transit-stub topologies — the query
-   order (which drives memoization and LRU eviction) must never leak
-   into the answers. *)
+   order (which drives memoization) must never leak into the answers. *)
 let prop_lazy_eager_identical () =
   for case = 0 to 19 do
     let seed = 4242 + (case * 17) in
@@ -369,25 +489,19 @@ let prop_lazy_eager_identical () =
     in
     let ts = Transit_stub.generate rng params in
     let n = Transit_stub.num_routers ts in
+    let access = (Transit_stub.params ts).Transit_stub.access_ms in
     let lazy_ = Latency.create ts in
-    let capped = Latency.create ~max_rows:(1 + Rng.int_below rng 3) ts in
-    let eager = Latency.create_eager ts in
+    let eager = Array.init n (Canon_topology.Graph.dijkstra (Transit_stub.graph ts)) in
     for _ = 1 to 200 do
       let a = Rng.int_below rng n and b = Rng.int_below rng n in
-      let e = Latency.router_latency eager a b in
+      let e = eager.(a).(b) in
       if not (Float.equal (Latency.router_latency lazy_ a b) e) then
         Alcotest.failf "seed %d: lazy <> eager at (%d, %d)" seed a b;
-      if not (Float.equal (Latency.router_latency capped a b) e) then
-        Alcotest.failf "seed %d: capped <> eager at (%d, %d)" seed a b;
-      if
-        not
-          (Float.equal
-             (Latency.node_latency lazy_ a b)
-             (Latency.node_latency eager a b))
-      then Alcotest.failf "seed %d: node latency lazy <> eager at (%d, %d)" seed a b
+      if not (Float.equal (Latency.node_latency lazy_ a b) (access +. e +. access)) then
+        Alcotest.failf "seed %d: node latency lazy <> eager at (%d, %d)" seed a b
     done;
-    if (Latency.stats capped).Latency.rows_resident > n then
-      Alcotest.failf "seed %d: capped oracle exceeded its row budget" seed
+    if (Latency.stats lazy_).Latency.rows_computed > n then
+      Alcotest.failf "seed %d: oracle computed a row twice" seed
   done
 
 (* Percentile edge cases on random samples: p = 0 is the minimum,
@@ -577,10 +691,12 @@ let suites =
   [
     ( "prop.latency",
       [
-        Alcotest.test_case "lazy/capped/eager oracles identical" `Quick
+        Alcotest.test_case "lazy oracle = eager dijkstra rows" `Quick
           prop_lazy_eager_identical;
         Alcotest.test_case "percentile edges p0/p100/n=1" `Quick prop_percentile_edges;
       ] );
+    ( "prop.router",
+      [ Alcotest.test_case "one-pass step = two-pass rule" `Quick prop_step_matches_two_pass ] );
     ( "prop.replication",
       [
         Alcotest.test_case "flat holder count = min k live" `Quick

@@ -248,7 +248,7 @@ let test_avoiding_no_failures_equals_plain () =
     let src = Rng.int_below rng 500 and dst = Rng.int_below rng 500 in
     let key = Overlay.id ov dst in
     let plain = Router.greedy_clockwise ov ~src ~key in
-    match Router.greedy_clockwise_avoiding ov ~dead:(fun _ -> false) ~src ~key with
+    match Router.route ~dead:(fun _ -> false) (Router.frozen ov) ~src ~key with
     | Some route -> Alcotest.(check (array int)) "identical" plain.Route.nodes route.Route.nodes
     | None -> Alcotest.fail "route failed with no failures"
   done
@@ -264,7 +264,7 @@ let test_avoiding_detects_blockage () =
     let src = Rng.int_below rng 200 and dst = Rng.int_below rng 200 in
     if src <> dst then begin
       let dead v = v <> src && v <> dst in
-      match Router.greedy_clockwise_avoiding ov ~dead ~src ~key:(Overlay.id ov dst) with
+      match Router.route ~dead (Router.frozen ov) ~src ~key:(Overlay.id ov dst) with
       | Some route when Route.destination route = dst -> ()
       | Some _ -> Alcotest.fail "claimed arrival at wrong node"
       | None -> incr outcomes
@@ -276,8 +276,8 @@ let test_avoiding_dead_source_rejected () =
   let pop = make_pop ~seed:69 ~fanout:5 ~levels:2 ~n:100 () in
   let ov = Crescendo.build (Rings.build pop) in
   Alcotest.check_raises "dead source"
-    (Invalid_argument "Router.greedy_clockwise_avoiding: dead source") (fun () ->
-      ignore (Router.greedy_clockwise_avoiding ov ~dead:(fun _ -> true) ~src:0 ~key:1))
+    (Invalid_argument "Router.route: dead source") (fun () ->
+      ignore (Router.route ~dead:(fun _ -> true) (Router.frozen ov) ~src:0 ~key:1))
 
 let test_isolation_property_direct () =
   (* All nodes outside one depth-1 domain die; intra-domain routing is
@@ -295,7 +295,7 @@ let test_isolation_property_direct () =
   if Array.length members >= 2 then
     for _ = 1 to 200 do
       let src = Rng.pick rng members and dst = Rng.pick rng members in
-      match Router.greedy_clockwise_avoiding ov ~dead ~src ~key:(Overlay.id ov dst) with
+      match Router.route ~dead (Router.frozen ov) ~src ~key:(Overlay.id ov dst) with
       | Some route -> Alcotest.(check int) "delivered inside domain" dst (Route.destination route)
       | None -> Alcotest.fail "intra-domain route failed under outside-only failures"
     done

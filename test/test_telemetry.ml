@@ -244,18 +244,16 @@ let test_sampling_and_capacity () =
 (* --- Stuck carries the partial path ------------------------------- *)
 
 let test_stuck_partial_path () =
-  (* A 3-node chain with an artificially tiny hop budget (n = 0 gives
-     budget 1): routing 0 -> 1 -> 2 exceeds it at the second hop. *)
+  (* A 3-node chain with an artificially tiny hop budget (size = 0
+     gives budget 1): routing 0 -> 1 -> 2 exceeds it at the second hop. *)
   let ids = [| 10; 20; 30 |] in
   let links = [| [| 1 |]; [| 2 |]; [||] |] in
   let trace = Trace.create () in
-  let attempt () =
-    ignore
-      (Router.greedy_clockwise_generic ~trace ~n:0
-         ~id:(fun v -> ids.(v))
-         ~links:(fun v -> links.(v))
-         ~src:0 ~key:30 ())
+  let view =
+    Router.
+      { size = 0; id = (fun v -> ids.(v)); links = (fun v -> links.(v)); live = (fun _ -> true) }
   in
+  let attempt () = ignore (Router.route ~trace view ~src:0 ~key:30) in
   (try
      attempt ();
      Alcotest.fail "expected Router.Stuck"

@@ -145,49 +145,30 @@ let small_params =
     stub_routers_per_domain = 3;
   }
 
-(* The tentpole equality pin: on a seeded topology the lazy oracle (and
-   a memory-capped one that must recompute evicted rows) answers
-   bit-identically to the eager all-pairs table, and [create] runs no
-   Dijkstra up front. *)
+(* The equality pin: on a seeded topology the lazy oracle answers
+   bit-identically to an eager all-pairs table of direct Dijkstra rows,
+   [create] runs no Dijkstra up front, and each row is computed once. *)
 let test_lazy_matches_eager () =
   let ts = Transit_stub.generate (Rng.create 11) small_params in
   let n = Transit_stub.num_routers ts in
+  let access = (Transit_stub.params ts).Transit_stub.access_ms in
   let lazy_ = Latency.create ts in
-  let capped = Latency.create ~max_rows:2 ts in
   Alcotest.(check int) "no Dijkstra at create" 0 (Latency.stats lazy_).Latency.rows_computed;
-  let eager = Latency.create_eager ts in
-  Alcotest.(check int) "eager computed every row" n
-    (Latency.stats eager).Latency.rows_computed;
+  let eager = Array.init n (Graph.dijkstra (Transit_stub.graph ts)) in
   for a = 0 to n - 1 do
     for b = 0 to n - 1 do
-      let e = Latency.router_latency eager a b in
+      let e = eager.(a).(b) in
       if not (Float.equal (Latency.router_latency lazy_ a b) e) then
         Alcotest.failf "lazy <> eager at (%d, %d)" a b;
-      if not (Float.equal (Latency.router_latency capped a b) e) then
-        Alcotest.failf "capped <> eager at (%d, %d)" a b;
-      if not (Float.equal (Latency.node_latency lazy_ a b) (Latency.node_latency eager a b))
-      then Alcotest.failf "node latency lazy <> eager at (%d, %d)" a b
+      if not (Float.equal (Latency.node_latency lazy_ a b) (access +. e +. access)) then
+        Alcotest.failf "node latency lazy <> eager at (%d, %d)" a b
     done
   done;
   let st = Latency.stats lazy_ in
   Alcotest.(check int) "lazy computed each row once" n st.Latency.rows_computed;
   Alcotest.(check int) "all rows resident" n st.Latency.rows_resident;
-  Alcotest.(check int) "no evictions unbounded" 0 st.Latency.evictions;
-  Alcotest.(check bool) "row reuse counted as hits" true (st.Latency.hits > 0);
-  (* row 0 was evicted long ago under the cap of 2; touching it again
-     must recompute it bit-identically. *)
-  Alcotest.(check bool) "evicted row recomputes identically" true
-    (Float.equal (Latency.router_latency capped 0 (n - 1))
-       (Latency.router_latency eager 0 (n - 1)));
-  let stc = Latency.stats capped in
-  Alcotest.(check int) "cap bounds residency" 2 stc.Latency.rows_resident;
-  Alcotest.(check bool) "cap evicts" true (stc.Latency.evictions > 0);
-  Alcotest.(check bool) "cap recomputes evicted rows" true (stc.Latency.rows_computed > n)
-
-let test_lazy_create_invalid () =
-  let ts = Transit_stub.generate (Rng.create 11) small_params in
-  Alcotest.check_raises "bad cap" (Invalid_argument "Latency.create: max_rows must be >= 1")
-    (fun () -> ignore (Latency.create ~max_rows:0 ts))
+  Alcotest.(check int) "one miss per row" n st.Latency.misses;
+  Alcotest.(check bool) "row reuse counted as hits" true (st.Latency.hits > 0)
 
 (* On a two-stub topology every sampled pair must be the distinct one,
    so the estimate is exactly that pair's latency — the old sampler drew
@@ -277,7 +258,6 @@ let suites =
         Alcotest.test_case "transit-stub hierarchy" `Quick test_transit_stub_hierarchy;
         Alcotest.test_case "latency classes" `Slow test_latency_classes;
         Alcotest.test_case "lazy oracle = eager table" `Quick test_lazy_matches_eager;
-        Alcotest.test_case "lazy oracle bad cap" `Quick test_lazy_create_invalid;
         Alcotest.test_case "mean latency excludes self-pairs" `Quick
           test_mean_node_latency_distinct_pairs;
         Alcotest.test_case "mean latency single-stub degenerate" `Quick
