@@ -1,32 +1,35 @@
 open Canon_idspace
 open Canon_overlay
 
-let links_of_node rings node =
-  let pop = Rings.population rings in
-  let id = pop.Population.ids.(node) in
+let merge rings node ~leaf ~above =
+  let id = (Rings.population rings).Population.ids.(node) in
   let acc = Link_set.create ~self:node in
   let chain = Rings.chain rings node in
-  (* Leaf level: plain Chord inside the leaf ring. *)
   let leaf_ring = Rings.ring rings chain.(0) in
-  Array.iter (Link_set.add acc) (Chord.links_of_id leaf_ring id ~self:node);
-  (* Bottom-up merges: at each higher level only nodes strictly closer
-     than the closest own-ring node (condition (b)) are candidates, so
-     we scan finger distances below [d_own] only. *)
-  let d_own = ref (Ring.successor_distance leaf_ring id) in
+  leaf leaf_ring id acc;
+  (* Condition (b): at each merge only links strictly closer than the
+     closest own-ring node so far survive. *)
+  let cap = ref (Ring.successor_distance leaf_ring id) in
   for level = 1 to Array.length chain - 1 do
     let ring = Rings.ring rings chain.(level) in
-    let k = ref 0 in
-    while !k < Id.bits && 1 lsl !k < !d_own do
-      (match Ring.finger ring id (1 lsl !k) with
-      | None -> ()
-      | Some target ->
-          let dist = Id.distance id pop.Population.ids.(target) in
-          if dist < !d_own then Link_set.add acc target);
-      incr k
-    done;
-    d_own := min !d_own (Ring.successor_distance ring id)
+    above ring id ~cap:!cap acc;
+    cap := min !cap (Ring.successor_distance ring id)
   done;
   Link_set.to_array acc
+
+let add_fingers ~ids ring id ~cap acc =
+  (* Only finger distances below the cap can yield a surviving link. *)
+  let k = ref 0 in
+  while !k < Id.bits && 1 lsl !k < cap do
+    (match Ring.finger ring id (1 lsl !k) with
+    | Some target when Id.distance id ids.(target) < cap -> Link_set.add acc target
+    | Some _ | None -> ());
+    incr k
+  done
+
+let links_of_node rings node =
+  let ids = (Rings.population rings).Population.ids in
+  merge rings node ~leaf:(add_fingers ~ids ~cap:Id.space) ~above:(add_fingers ~ids)
 
 let build rings =
   let pop = Rings.population rings in

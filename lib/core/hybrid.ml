@@ -1,32 +1,12 @@
-open Canon_idspace
 open Canon_overlay
 
+(* The LAN clique on the leaf; ordinary Crescendo merges above, so
+   condition (b)'s cap is the distance to the nearest LAN peer. *)
 let links_of_node rings node =
-  let pop = Rings.population rings in
-  let ids = pop.Population.ids in
-  let id = ids.(node) in
-  let acc = Link_set.create ~self:node in
-  let chain = Rings.chain rings node in
-  (* Leaf level: the LAN clique. *)
-  let leaf_ring = Rings.ring rings chain.(0) in
-  Array.iter (fun peer -> Link_set.add acc peer) (Ring.members leaf_ring);
-  (* Higher levels: ordinary Crescendo merges; condition (b)'s cap is
-     the distance to the nearest LAN peer. *)
-  let d_own = ref (Ring.successor_distance leaf_ring id) in
-  for level = 1 to Array.length chain - 1 do
-    let ring = Rings.ring rings chain.(level) in
-    let k = ref 0 in
-    while !k < Id.bits && 1 lsl !k < !d_own do
-      (match Ring.finger ring id (1 lsl !k) with
-      | None -> ()
-      | Some target ->
-          let dist = Id.distance id ids.(target) in
-          if dist < !d_own then Link_set.add acc target);
-      incr k
-    done;
-    d_own := min !d_own (Ring.successor_distance ring id)
-  done;
-  Link_set.to_array acc
+  let ids = (Rings.population rings).Population.ids in
+  Crescendo.merge rings node
+    ~leaf:(fun ring _ acc -> Array.iter (Link_set.add acc) (Ring.members ring))
+    ~above:(Crescendo.add_fingers ~ids)
 
 let build rings =
   let pop = Rings.population rings in

@@ -40,10 +40,10 @@ let min_latency_member ring ~t_bits g ~node_latency ~self =
       end);
   if !best < 0 then None else Some !best
 
-let build_chord ?(group_size = default_group_size) pop ~node_latency =
+let build_chord pop ~node_latency =
   let n = Population.size pop in
   let ids = pop.Population.ids in
-  let t_bits = group_bits ~n ~group_size in
+  let t_bits = group_bits ~n ~group_size:default_group_size in
   let shift = shift_of_bits t_bits in
   let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
   let links =
@@ -70,145 +70,91 @@ let build_chord ?(group_size = default_group_size) pop ~node_latency =
   in
   { kind = Chord_groups t_bits; overlay = Overlay.create pop ~links }
 
-let build_crescendo ?(group_size = default_group_size) rings ~node_latency =
-  (* The group size is implicit in the admissible arcs at the top level;
-     the parameter is kept for interface symmetry with [build_chord]. *)
-  ignore group_size;
-  let pop = Rings.population rings in
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let tree = pop.Population.tree in
-  let root = Canon_hierarchy.Domain_tree.root tree in
-  let root_ring = Rings.ring rings root in
-  let links =
-    Array.init n (fun node ->
-        let id = ids.(node) in
-        let acc = Link_set.create ~self:node in
-        let chain = Rings.chain rings node in
-        let levels = Array.length chain in
-        (* Ordinary Crescendo below the root; with a flat hierarchy the
-           top level is the leaf itself and no cap applies. *)
-        let d_own = ref Id.space in
-        if levels > 1 then begin
-          let leaf_ring = Rings.ring rings chain.(0) in
-          Array.iter (Link_set.add acc) (Chord.links_of_id leaf_ring id ~self:node);
-          d_own := Ring.successor_distance leaf_ring id
-        end;
-        for level = 1 to levels - 2 do
-          let ring = Rings.ring rings chain.(level) in
-          let k = ref 0 in
-          while !k < Id.bits && 1 lsl !k < !d_own do
-            (match Ring.finger ring id (1 lsl !k) with
-            | None -> ()
-            | Some target ->
-                let dist = Id.distance id ids.(target) in
-                if dist < !d_own then Link_set.add acc target);
-            incr k
-          done;
-          d_own := min !d_own (Ring.successor_distance ring id)
-        done;
-        (* Top-level merge with the group rule. The exact successor is
-           always kept so greedy clockwise routing stays exact. *)
-        (if Ring.size root_ring >= 2 then begin
-           let succ = Ring.successor_of_id root_ring id in
-           let succ_dist = Id.distance id ids.(succ) in
-           if succ_dist <= !d_own then Link_set.add acc succ
-         end);
-        let k = ref 0 in
-        while !k < Id.bits && 1 lsl !k < !d_own do
-          (match Ring.finger root_ring id (1 lsl !k) with
-          | None -> ()
-          | Some target ->
-              let dist = Id.distance id ids.(target) in
-              if dist < !d_own then begin
-                (* §3.6: at the top level the link rule only prescribes
-                   a *range* of admissible identifiers, and the node is
-                   free to pick the physically closest one (proximity
-                   neighbour selection, as in the paper's [5]). The
-                   admissible candidates are the nodes of the arc
-                   [id + 2^k, id + min(2^(k+1), d_own)) — condition (a)
-                   restricted by condition (b). *)
-                let hi = min (1 lsl (!k + 1)) !d_own in
-                let start = Id.add id (1 lsl !k) in
-                let len = hi - (1 lsl !k) in
-                let count = Ring.arc_count root_ring ~start ~len in
-                if count <= 1 then Link_set.add acc target
-                else begin
-                  let best = ref target and best_lat = ref (node_latency node target) in
-                  (* Sample at most 32 candidates, as the paper notes
-                     s = 32 suffices. *)
-                  let stride = max 1 (count / 32) in
-                  let i = ref 0 in
-                  while !i < count do
-                    let peer = Ring.arc_nth root_ring ~start ~len !i in
-                    if peer <> node then begin
-                      let l = node_latency node peer in
-                      if l < !best_lat then begin
-                        best := peer;
-                        best_lat := l
-                      end
-                    end;
-                    i := !i + stride
-                  done;
-                  Link_set.add acc !best
+(* The top-level merge with the group rule. The exact successor is
+   always kept so greedy clockwise routing stays exact. *)
+let add_prox_fingers ~ids ~node_latency node ring id ~cap acc =
+  (if Ring.size ring >= 2 then begin
+     let succ = Ring.successor_of_id ring id in
+     if Id.distance id ids.(succ) <= cap then Link_set.add acc succ
+   end);
+  let k = ref 0 in
+  while !k < Id.bits && 1 lsl !k < cap do
+    (match Ring.finger ring id (1 lsl !k) with
+    | None -> ()
+    | Some target ->
+        if Id.distance id ids.(target) < cap then begin
+          (* §3.6: at the top level the link rule only prescribes a
+             *range* of admissible identifiers, and the node is free to
+             pick the physically closest one (proximity neighbour
+             selection, as in the paper's [5]). The admissible
+             candidates are the nodes of the arc
+             [id + 2^k, id + min(2^(k+1), cap)) — condition (a)
+             restricted by condition (b). *)
+          let hi = min (1 lsl (!k + 1)) cap in
+          let start = Id.add id (1 lsl !k) in
+          let len = hi - (1 lsl !k) in
+          let count = Ring.arc_count ring ~start ~len in
+          if count <= 1 then Link_set.add acc target
+          else begin
+            let best = ref target and best_lat = ref (node_latency node target) in
+            (* Sample at most 32 candidates, as the paper notes s = 32
+               suffices. *)
+            let stride = max 1 (count / 32) in
+            let i = ref 0 in
+            while !i < count do
+              let peer = Ring.arc_nth ring ~start ~len !i in
+              if peer <> node then begin
+                let l = node_latency node peer in
+                if l < !best_lat then begin
+                  best := peer;
+                  best_lat := l
                 end
-              end);
-          incr k
-        done;
-        Link_set.to_array acc)
+              end;
+              i := !i + stride
+            done;
+            Link_set.add acc !best
+          end
+        end);
+    incr k
+  done
+
+let build_crescendo rings ~node_latency =
+  let pop = Rings.population rings in
+  let ids = pop.Population.ids in
+  let root_ring = Rings.ring rings (Canon_hierarchy.Domain_tree.root pop.Population.tree) in
+  let links =
+    Array.init (Population.size pop) (fun node ->
+        (* Ordinary Crescendo below the root, the proximity pick on the
+           root ring. With a flat hierarchy the root is the leaf, and no
+           cap applies. *)
+        let rule ring id ~cap acc =
+          if ring == root_ring then add_prox_fingers ~ids ~node_latency node ring id ~cap acc
+          else Crescendo.add_fingers ~ids ring id ~cap acc
+        in
+        Crescendo.merge rings node ~leaf:(rule ~cap:Id.space) ~above:rule)
   in
   { kind = Crescendo_groups; overlay = Overlay.create pop ~links }
 
 let overlay t = t.overlay
 
 let route t ~src ~dst =
+  let ov = t.overlay in
   match t.kind with
-  | Crescendo_groups ->
-      Router.greedy_clockwise t.overlay ~src ~key:(Overlay.id t.overlay dst)
-  | Chord_groups t_bits ->
-      let ov = t.overlay in
-      let group node = Id.prefix (Overlay.id ov node) t_bits in
-      let ngroups = 1 lsl t_bits in
-      let gdist a b = (b - a) land (ngroups - 1) in
-      let dst_group = group dst in
-      let max_hops = Overlay.size ov + 1 in
-      let rec go u acc hops =
-        if u = dst then Route.{ nodes = Array.of_list (List.rev (u :: acc)) }
-        else if hops >= max_hops then
-          raise
-            (Router.Stuck
-               {
-                 at = u;
-                 key = Overlay.id ov dst;
-                 hops;
-                 path = Array.of_list (List.rev (u :: acc));
-               })
-        else if group u = dst_group then
-          (* Intra-group clique: one hop to the destination. *)
-          go dst (u :: acc) (hops + 1)
-        else begin
-          (* Group-greedy: largest group progress without overshooting
-             the destination group. *)
-          let du = gdist (group u) dst_group in
-          let best = ref (-1) and best_remaining = ref du in
-          Array.iter
-            (fun v ->
-              let dv = gdist (group v) dst_group in
-              if gdist (group u) (group v) <= du && dv < !best_remaining then begin
-                best := v;
-                best_remaining := dv
-              end)
-            (Overlay.links ov u);
-          if !best < 0 then
+  | Crescendo_groups -> Router.greedy_clockwise ov ~src ~key:(Overlay.id ov dst)
+  | Chord_groups t_bits -> (
+      (* Group-greedy: the clockwise rule over group ids, a node's top
+         [T] bits kept in place. It arrives in the destination's group,
+         and the intra-group clique takes one hop to [dst]. *)
+      let mask = (Id.space - 1) land lnot ((1 lsl shift_of_bits t_bits) - 1) in
+      let group_id node = Overlay.id ov node land mask in
+      match Router.route { (Router.frozen ov) with id = group_id } ~src ~key:(group_id dst) with
+      | None -> assert false (* nothing is dead, so nothing strands *)
+      | Some route ->
+          let nodes = route.Route.nodes in
+          let last = nodes.(Array.length nodes - 1) in
+          if group_id last <> group_id dst then
             raise
               (Router.Stuck
-                 {
-                   at = u;
-                   key = Overlay.id ov dst;
-                   hops;
-                   path = Array.of_list (List.rev (u :: acc));
-                 })
-          else go !best (u :: acc) (hops + 1)
-        end
-      in
-      go src [] 0
+                 { at = last; key = Overlay.id ov dst; hops = Array.length nodes - 1; path = nodes })
+          else if last = dst then route
+          else Route.{ nodes = Array.append nodes [| dst |] })

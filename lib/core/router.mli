@@ -6,8 +6,9 @@
 
     - The clockwise rule, {!step} and {!route} over a link {!view}:
       Chord, Crescendo, Symphony, Cacophony, nondeterministic
-      Chord/Crescendo, the dynamic-maintenance simulator and the
-      message-level network. A node forwards on the link that gets
+      Chord/Crescendo, Chord (Prox.) group routing (a view over group
+      ids), the dynamic-maintenance simulator and the message-level
+      network. A node forwards on the link that gets
       closest to the key clockwise without overshooting it; the route
       ends at the key's closest predecessor among the reachable
       structure. Crescendo's hierarchical behaviour (§2.2) —

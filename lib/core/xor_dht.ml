@@ -45,15 +45,15 @@ let random_in_bucket rng ring id k =
     Some (Ring.node_at ring rank)
   end
 
-let bucket_member choice ring ~ids:_ id k =
+let bucket_member choice ring id k =
   match choice with
   | Closest -> closest_in_bucket ring id k
   | Random rng -> random_in_bucket rng ring id k
 
-let fill_buckets choice ring ~ids id ~filled acc =
+let fill_buckets choice ring id ~filled acc =
   for k = 0 to Id.bits - 1 do
     if not filled.(k) then
-      match bucket_member choice ring ~ids id k with
+      match bucket_member choice ring id k with
       | None -> ()
       | Some target ->
           Link_set.add acc target;
@@ -68,7 +68,7 @@ let build_flat choice pop =
     Array.init n (fun node ->
         let acc = Link_set.create ~self:node in
         let filled = Array.make Id.bits false in
-        fill_buckets choice global ~ids ids.(node) ~filled acc;
+        fill_buckets choice global ids.(node) ~filled acc;
         Link_set.to_array acc)
   in
   Overlay.create pop ~links
@@ -82,7 +82,7 @@ let build_hierarchical choice rings =
         let filled = Array.make Id.bits false in
         let chain = Rings.chain rings node in
         Array.iter
-          (fun domain -> fill_buckets choice (Rings.ring rings domain) ~ids ids.(node) ~filled acc)
+          (fun domain -> fill_buckets choice (Rings.ring rings domain) ids.(node) ~filled acc)
           chain;
         Link_set.to_array acc)
   in

@@ -103,3 +103,21 @@ let mean_route_latency rng overlay ~node_latency ~samples =
     total := !total +. lat
   done;
   !total /. Float.of_int samples
+
+let observed_domain rings =
+  let pop = Rings.population rings in
+  let tree = pop.Population.tree in
+  let kids = Domain_tree.children tree (Domain_tree.root tree) in
+  let best = ref kids.(0) and best_size = ref 0 in
+  Array.iter
+    (fun d ->
+      let s = Ring.size (Rings.ring rings d) in
+      if s > !best_size then begin
+        best := d;
+        best_size := s
+      end)
+    kids;
+  let members = Ring.members (Rings.ring rings !best) in
+  let inside = Array.make (Population.size pop) false in
+  Array.iter (fun v -> inside.(v) <- true) members;
+  (members, inside)

@@ -70,3 +70,8 @@ val mean_route_latency :
   samples:int ->
   float
 (** Mean greedy-clockwise route latency between random node pairs. *)
+
+val observed_domain : Rings.t -> int array * bool array
+(** The observed domain of the containment experiments: the largest
+    depth-1 domain by ring size (the first one wins ties). Returns its
+    members in ring order and the [inside] mask over the population. *)

@@ -1,4 +1,3 @@
-open Canon_hierarchy
 open Canon_core
 open Canon_overlay
 open Canon_net
@@ -47,22 +46,7 @@ let run_with ?(fail_fracs = [ 0.0; 0.05; 0.1; 0.2; 0.3 ]) ?(loss = 0.01) ?n ?pro
   let crescendo = Crescendo.build rings in
   (* The observed domain of the containment measurement: the largest
      depth-1 domain (as in the Isolation experiment). *)
-  let domain =
-    let kids = Domain_tree.children setup.Common.tree (Domain_tree.root setup.Common.tree) in
-    let best = ref kids.(0) and best_size = ref 0 in
-    Array.iter
-      (fun d ->
-        let s = Ring.size (Rings.ring rings d) in
-        if s > !best_size then begin
-          best := d;
-          best_size := s
-        end)
-      kids;
-    !best
-  in
-  let members = Ring.members (Rings.ring rings domain) in
-  let inside = Array.make n false in
-  Array.iter (fun m -> inside.(m) <- true) members;
+  let members, inside = Common.observed_domain rings in
   let table =
     Table.create
       ~title:

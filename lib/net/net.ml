@@ -7,8 +7,6 @@ module Metrics = Canon_telemetry.Metrics
 module Trace = Canon_telemetry.Trace
 module Span = Canon_telemetry.Span
 
-type suspicion = [ `Per_lookup | `Shared ]
-
 type t = {
   overlay : Overlay.t;
   node_latency : int -> int -> float;
@@ -20,8 +18,6 @@ type t = {
      live view's are re-derived after every membership event. *)
   leaf_rings : unit -> Rings.t option;
   generation : unit -> int;
-  leaf_width : int;
-  suspicion : suspicion;
   suspected : bool array;
   leaf_cache : int array array option array;
   mutable leaf_cache_gen : int;
@@ -45,10 +41,8 @@ let h_messages =
     ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0; 256.0 |]
     "net.messages_per_lookup"
 
-let create ?(policy = Rpc.default) ?plan ?rings ?live ?(leaf_width = 4)
-    ?(suspicion = `Per_lookup) ~rng ~node_latency overlay =
+let create ?(policy = Rpc.default) ?plan ?rings ?live ~rng ~node_latency overlay =
   Rpc.validate policy;
-  if leaf_width < 1 then invalid_arg "Net.create: leaf_width must be >= 1";
   let n = Overlay.size overlay in
   let plan = match plan with Some p -> p | None -> Fault_plan.none ~n in
   if Fault_plan.size plan <> n then invalid_arg "Net.create: plan/overlay size mismatch";
@@ -75,8 +69,6 @@ let create ?(policy = Rpc.default) ?plan ?rings ?live ?(leaf_width = 4)
     view;
     leaf_rings;
     generation;
-    leaf_width;
-    suspicion;
     suspected = Array.make n false;
     leaf_cache = Array.make n None;
     leaf_cache_gen = 0;
@@ -107,7 +99,8 @@ let leaf_sets t u =
       match t.leaf_rings () with
       | None -> [||]
       | Some rings ->
-          let sets = Leaf_sets.successors rings ~node:u ~width:t.leaf_width in
+          (* Four successors per level to re-anchor through. *)
+          let sets = Leaf_sets.successors rings ~node:u ~width:4 in
           t.leaf_cache.(u) <- Some sets;
           sets)
 
@@ -146,7 +139,6 @@ type lookup_state = {
 }
 
 type pending = {
-  p_src : int;
   p_key : Id.t;
   p_started : float;
   p_st : lookup_state;
@@ -166,15 +158,9 @@ type event = Send of msg | Deliver of msg | Timeout of msg
 
 let result p = p.p_result
 
-let pending_src p = p.p_src
-
-let pending_key p = p.p_key
-
 let finalize t p ~now =
   let st = p.p_st in
-  (match t.suspicion with
-  | `Per_lookup -> List.iter (fun v -> t.suspected.(v) <- false) st.newly_suspected
-  | `Shared -> ());
+  List.iter (fun v -> t.suspected.(v) <- false) st.newly_suspected;
   st.newly_suspected <- [];
   let status, failure =
     match st.finished with
@@ -287,7 +273,7 @@ let launch ?on_done t ~now ~push ~src ~key =
       finished = None;
     }
   in
-  let p = { p_src = src; p_key = key; p_started = now; p_st = st; p_on_done = on_done; p_result = None } in
+  let p = { p_key = key; p_started = now; p_st = st; p_on_done = on_done; p_result = None } in
   step_at t p ~now ~push src;
   p
 

@@ -41,22 +41,11 @@ open Canon_overlay
 
 type t
 
-type suspicion = [ `Per_lookup | `Shared ]
-(** Scope of learned suspicions. [`Per_lookup] (the default) forgets
-    them when the lookup ends — each lookup discovers failures afresh,
-    modelling independent clients with no shared failure detector, the
-    paper's no-repair setting. [`Shared] keeps them for the process
-    lifetime, modelling a node-local failure-detector cache: later
-    lookups route around known-dead nodes without paying the timeouts
-    again. *)
-
 val create :
   ?policy:Rpc.policy ->
   ?plan:Fault_plan.t ->
   ?rings:Rings.t ->
   ?live:Live_view.t ->
-  ?leaf_width:int ->
-  ?suspicion:suspicion ->
   rng:Canon_rng.Rng.t ->
   node_latency:(int -> int -> float) ->
   Overlay.t ->
@@ -65,9 +54,9 @@ val create :
     latency oracle (e.g. {!Canon_topology.Latency.node_latency} composed
     with attachment points). [plan] defaults to fault-free; [policy] to
     {!Rpc.default}. [rings] enables leaf-set re-anchoring with
-    [leaf_width] successors per level (default 4; without [rings] a
-    blocked lookup fails instead of re-anchoring). The network always
-    routes over a {!Canon_core.Router.view}. By default that is the
+    4 successors per level (without [rings] a blocked lookup fails
+    instead of re-anchoring). The network always routes over a
+    {!Canon_core.Router.view}. By default that is the
     frozen [overlay] (snapshot mode): membership never changes and the
     leaf sets of [rings] are derived once. [live] switches the network
     to {e live membership} mode: hop selection, deviation detection and
@@ -78,8 +67,11 @@ val create :
     changes. With a [live] view whose membership never changes, behavior
     is identical to snapshot mode.
     Raises [Invalid_argument] on a plan/overlay size mismatch, a
-    rings/live view over a different population, an invalid policy, or
-    [leaf_width < 1]. *)
+    rings/live view over a different population, or an invalid policy.
+    Suspicions a lookup learns (retry budgets exhausted against a
+    target) are forgotten when it ends: each lookup discovers failures
+    afresh, modelling independent clients with no shared failure
+    detector, the paper's no-repair setting. *)
 
 val overlay : t -> Overlay.t
 
@@ -103,9 +95,9 @@ val lookup : t -> src:int -> key:Id.t -> Async_route.t
     membership events — on one shared {!Event_queue}/sim-time axis. The
     caller wraps {!event} into its own payload type, pushes via the
     [push] callback given to {!launch}/{!handle}, and calls {!handle}
-    when a net event pops. Under [`Per_lookup] suspicion, suspicions
-    learned by a lookup are visible to others only while it is in
-    flight (they are cleared when it finishes). *)
+    when a net event pops. Suspicions learned by a lookup are visible
+    to others only while it is in flight (they are cleared when it
+    finishes). *)
 
 type event
 (** An in-flight message occurrence (send, delivery or timeout) of some
@@ -143,10 +135,6 @@ val abandon : t -> pending -> now:float -> Async_route.t
 (** Resolve an unresolved lookup as [Failed No_candidate] now (e.g. the
     shared queue drained with the lookup still waiting); returns the
     existing result if it already resolved. *)
-
-val pending_src : pending -> int
-
-val pending_key : pending -> Id.t
 
 val suspected_nodes : t -> int array
 (** Nodes the network currently believes dead (retry budgets exhausted

@@ -32,15 +32,6 @@ type report = {
   sim_time : float;
 }
 
-let default_config =
-  {
-    initial_nodes = 256;
-    events = 200;
-    join_fraction = 0.5;
-    probes_per_event = 4;
-    mean_interarrival = 1.0;
-  }
-
 type event =
   | Arrival
   | Departure

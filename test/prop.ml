@@ -445,13 +445,14 @@ let prop_step_one_pass ~case_seed ~n =
   in
   go 0 0
 
-(* Seeded cases over random sizes; a failure shrinks by halving the node
-   count under the same case seed and reports the smallest failing size. *)
-let prop_step_matches_two_pass () =
-  for case = 0 to 299 do
-    let case_seed = 31337 + (977 * case) in
-    let fails n = match prop_step_one_pass ~case_seed ~n with Ok () -> None | Error m -> Some m in
-    let n = 1 + Rng.int_below (Rng.create case_seed) 24 in
+(* Seeded cases over random sizes in [1, max_n]; a failure shrinks by
+   halving the node count under the same case seed and reports the
+   smallest failing size. *)
+let check_sizes ~cases ~seed ~stride ~max_n prop () =
+  for case = 0 to cases - 1 do
+    let case_seed = seed + (stride * case) in
+    let fails n = match prop ~case_seed ~n with Ok () -> None | Error m -> Some m in
+    let n = 1 + Rng.int_below (Rng.create case_seed) max_n in
     match fails n with
     | None -> ()
     | Some first ->
@@ -464,6 +465,84 @@ let prop_step_matches_two_pass () =
         Alcotest.failf "case seed %d: fails at n = %d (shrunk from n = %d): %s" case_seed smallest n
           msg
   done
+
+let prop_step_matches_two_pass = check_sizes ~cases:300 ~seed:31337 ~stride:977 ~max_n:24 prop_step_one_pass
+
+(* --- Chord (Prox.) group routing ------------------------------------ *)
+
+(* The reference: Chord (Prox.) routing as its own group-greedy loop
+   over T-bit group prefixes, then one intra-group clique hop. Returns
+   the path, or the node and partial path where it gets stuck. *)
+let reference_group_route ov ~t_bits ~src ~dst =
+  let group node = Id.prefix (Overlay.id ov node) t_bits in
+  let ngroups = 1 lsl t_bits in
+  let gdist a b = (b - a) land (ngroups - 1) in
+  let dst_group = group dst in
+  let max_hops = Overlay.size ov + 1 in
+  let rec go u acc hops =
+    let path () = Array.of_list (List.rev (u :: acc)) in
+    if u = dst then Ok (path ())
+    else if hops >= max_hops then Error (u, path ())
+    else if group u = dst_group then go dst (u :: acc) (hops + 1)
+    else begin
+      let du = gdist (group u) dst_group in
+      let best = ref (-1) and best_remaining = ref du in
+      Array.iter
+        (fun v ->
+          let dv = gdist (group v) dst_group in
+          if gdist (group u) (group v) <= du && dv < !best_remaining then begin
+            best := v;
+            best_remaining := dv
+          end)
+        (Overlay.links ov u);
+      if !best < 0 then Error (u, path ()) else go !best (u :: acc) (hops + 1)
+    end
+  in
+  go src [] 0
+
+(* Random populations: n <= 16 gives a single group (T = 0); otherwise
+   half the cases use tiny-space ids (distinct multiples of 2^25, the
+   128 slots) drawn from a random arc, so neighbouring and empty groups
+   are common. *)
+let prop_group_route ~case_seed ~n =
+  let sc = scenario ~case_seed ~n in
+  let rng = Rng.create (case_seed lxor 0x9e37) in
+  let pop =
+    if Rng.bool rng then sc.pop
+    else begin
+      let arc = n + Rng.int_below rng (128 - n + 1) and start = Rng.int_below rng 128 in
+      let slots = Array.init arc (fun i -> (start + i) land 127) in
+      Rng.shuffle_in_place rng slots;
+      { sc.pop with Population.ids = Array.init n (fun v -> slots.(v) lsl 25) }
+    end
+  in
+  let node_latency a b = Float.of_int (Hashtbl.hash (case_seed, a, b) mod 1000) in
+  let prox = Proximity.build_chord pop ~node_latency in
+  let ov = Proximity.overlay prox in
+  let t_bits = Proximity.group_bits ~n ~group_size:Proximity.default_group_size in
+  let got ~src ~dst =
+    match Proximity.route prox ~src ~dst with
+    | r -> Ok r.Route.nodes
+    | exception Router.Stuck { at; path; _ } -> Error (at, path)
+  in
+  let show = function
+    | Ok nodes -> "path " ^ String.concat "," (Array.to_list (Array.map string_of_int nodes))
+    | Error (at, _) -> Printf.sprintf "stuck at %d" at
+  in
+  let pairs =
+    if n <= 16 then List.concat_map (fun s -> List.init n (fun d -> (s, d))) (List.init n Fun.id)
+    else List.init 200 (fun _ -> (Rng.int_below rng n, Rng.int_below rng n))
+  in
+  match
+    List.find_opt
+      (fun (src, dst) -> got ~src ~dst <> reference_group_route ov ~t_bits ~src ~dst)
+      pairs
+  with
+  | None -> Ok ()
+  | Some (src, dst) ->
+      err "route %d -> %d (T = %d): %s, group-greedy loop gives %s" src dst t_bits
+        (show (got ~src ~dst))
+        (show (reference_group_route ov ~t_bits ~src ~dst))
 
 (* --- the latency oracle and percentile edges ----------------------- *)
 
@@ -696,7 +775,11 @@ let suites =
         Alcotest.test_case "percentile edges p0/p100/n=1" `Quick prop_percentile_edges;
       ] );
     ( "prop.router",
-      [ Alcotest.test_case "one-pass step = two-pass rule" `Quick prop_step_matches_two_pass ] );
+      [
+        Alcotest.test_case "one-pass step = two-pass rule" `Quick prop_step_matches_two_pass;
+        Alcotest.test_case "chord-prox route = group-greedy loop" `Quick
+          (check_sizes ~cases:200 ~seed:4711 ~stride:613 ~max_n:128 prop_group_route);
+      ] );
     ( "prop.replication",
       [
         Alcotest.test_case "flat holder count = min k live" `Quick

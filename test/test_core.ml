@@ -201,25 +201,33 @@ let test_crescendo_successor_at_every_level () =
       (Rings.chain rings node)
   done
 
-let test_crescendo_condition_b () =
-  (* Every link leaving the node's leaf domain must be strictly closer
-     than the closest node of the child ring at the level where the
-     link was created (the lca level). *)
-  let pop, rings, ov = Lazy.force crescendo_fixture in
-  let tree = pop.Population.tree in
-  Overlay.iter_links ov (fun src dst ->
-      let leaf_src = pop.Population.leaf_of_node.(src) in
-      let leaf_dst = pop.Population.leaf_of_node.(dst) in
-      if leaf_src <> leaf_dst then begin
-        let lca = Domain_tree.lca tree leaf_src leaf_dst in
-        (* src's child domain under the lca *)
-        let child = Domain_tree.ancestor_at_depth tree leaf_src (Domain_tree.depth tree lca + 1) in
-        let child_ring = Rings.ring rings child in
-        let d_own = Ring.successor_distance child_ring pop.Population.ids.(src) in
-        let d = Id.distance pop.Population.ids.(src) pop.Population.ids.(dst) in
-        if d >= d_own then
-          Alcotest.failf "link %d->%d violates condition (b): d=%d d_own=%d" src dst d d_own
-      end)
+(* Condition (b) for a clockwise Canonical construction, given as
+   [build pop rings]: every link leaving the node's leaf domain must be
+   strictly closer than src's successor in its child ring at the lca
+   level — the ring it belonged to before the merge that created the
+   link. *)
+let test_condition_b build () =
+  List.iter
+    (fun (fanout, levels, n) ->
+      let pop = make_pop ~seed:2 ~fanout ~levels ~n () in
+      let rings = Rings.build pop in
+      let ov = build pop rings in
+      let tree = pop.Population.tree and ids = pop.Population.ids in
+      Overlay.iter_links ov (fun src dst ->
+          let leaf_src = pop.Population.leaf_of_node.(src) in
+          let leaf_dst = pop.Population.leaf_of_node.(dst) in
+          if leaf_src <> leaf_dst then begin
+            let lca = Domain_tree.lca tree leaf_src leaf_dst in
+            let child =
+              Domain_tree.ancestor_at_depth tree leaf_src (Domain_tree.depth tree lca + 1)
+            in
+            let cap = Ring.successor_distance (Rings.ring rings child) ids.(src) in
+            let d = Id.distance ids.(src) ids.(dst) in
+            if d >= cap then
+              Alcotest.failf "(%d, %d, %d): link %d->%d violates condition (b): d=%d cap=%d"
+                fanout levels n src dst d cap
+          end))
+    [ (5, 3, 1024); (10, 3, 3000); (3, 4, 500) ]
 
 let test_crescendo_routing_reaches () =
   let _pop, _rings, ov = Lazy.force crescendo_fixture in
@@ -501,21 +509,6 @@ let test_nd_crescendo_locality () =
       end
     end
   done
-
-let test_nd_crescendo_condition_b () =
-  let pop, rings, ov = Lazy.force nd_crescendo_fixture in
-  let tree = pop.Population.tree in
-  Overlay.iter_links ov (fun src dst ->
-      let leaf_src = pop.Population.leaf_of_node.(src) in
-      let leaf_dst = pop.Population.leaf_of_node.(dst) in
-      if leaf_src <> leaf_dst then begin
-        let lca = Domain_tree.lca tree leaf_src leaf_dst in
-        let child = Domain_tree.ancestor_at_depth tree leaf_src (Domain_tree.depth tree lca + 1) in
-        let d_own = Ring.successor_distance (Rings.ring rings child) pop.Population.ids.(src) in
-        let d = Id.distance pop.Population.ids.(src) pop.Population.ids.(dst) in
-        if d > d_own then
-          Alcotest.failf "nd link %d->%d violates condition (b): d=%d d_own=%d" src dst d d_own
-      end)
 
 (* --- Kademlia / Kandy / CAN / Can-Can ----------------------------- *)
 
@@ -813,7 +806,7 @@ let suites =
       [
         Alcotest.test_case "flat = chord" `Quick test_crescendo_flat_equals_chord;
         Alcotest.test_case "successor at every level" `Quick test_crescendo_successor_at_every_level;
-        Alcotest.test_case "condition (b)" `Quick test_crescendo_condition_b;
+        Alcotest.test_case "condition (b)" `Quick (test_condition_b (fun _ rings -> Crescendo.build rings));
         Alcotest.test_case "routing reaches" `Quick test_crescendo_routing_reaches;
         Alcotest.test_case "intra-domain locality" `Quick test_crescendo_intra_domain_locality;
         Alcotest.test_case "inter-domain convergence" `Quick test_crescendo_inter_domain_convergence;
@@ -833,6 +826,8 @@ let suites =
         Alcotest.test_case "routing reaches" `Quick test_cacophony_routing_reaches;
         Alcotest.test_case "locality" `Quick test_cacophony_locality;
         Alcotest.test_case "degree" `Quick test_cacophony_degree;
+        Alcotest.test_case "condition (b)" `Quick
+          (test_condition_b (fun _ rings -> Cacophony.build (Rng.create 300) rings));
       ] );
     ( "nd-chord",
       [
@@ -840,7 +835,8 @@ let suites =
         Alcotest.test_case "bucket structure" `Quick test_nd_chord_bucket_structure;
         Alcotest.test_case "nd-crescendo reaches" `Quick test_nd_crescendo_reaches;
         Alcotest.test_case "nd-crescendo locality" `Quick test_nd_crescendo_locality;
-        Alcotest.test_case "nd-crescendo condition (b)" `Quick test_nd_crescendo_condition_b;
+        Alcotest.test_case "nd-crescendo condition (b)" `Quick
+          (test_condition_b (fun _ rings -> Nd_crescendo.build (Rng.create 600) rings));
       ] );
     ( "xor-dhts",
       [
@@ -859,6 +855,9 @@ let suites =
         Alcotest.test_case "chord-prox clique" `Quick test_chord_prox_clique;
         Alcotest.test_case "crescendo-prox reaches + locality" `Quick
           test_crescendo_prox_reaches_and_locality;
+        Alcotest.test_case "crescendo-prox condition (b)" `Quick
+          (test_condition_b (fun pop rings ->
+               Proximity.overlay (Proximity.build_crescendo rings ~node_latency:(line_latency pop))));
         Alcotest.test_case "group bits" `Quick test_group_bits;
       ] );
     ( "route",

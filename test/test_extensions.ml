@@ -327,6 +327,8 @@ let suites =
         Alcotest.test_case "reaches + locality" `Quick test_hybrid_reaches_and_locality;
         Alcotest.test_case "intra-LAN one hop" `Quick test_hybrid_intra_lan_one_hop;
         Alcotest.test_case "fewer hops than crescendo" `Quick test_hybrid_fewer_hops_than_crescendo;
+        Alcotest.test_case "condition (b)" `Quick
+          (Test_core.test_condition_b (fun _ rings -> Hybrid.build rings));
       ] );
     ( "failures",
       [
