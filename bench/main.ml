@@ -38,22 +38,22 @@ let micro_benchmarks () =
   let rings = Rings.build pop in
   let overlay = Crescendo.build rings in
   let flat_pop = Common.hierarchy_population ~seed:(seed + 1) ~levels:1 ~n in
-  let flat_ring =
-    Ring.of_members ~ids:flat_pop.Population.ids ~members:(Array.init n Fun.id)
-  in
+  let flat_chain = Canon.flat flat_pop 0 and chain = Canon.canonical rings in
   let rng = Rng.create 7 in
   let random_node () = Rng.int_below rng n in
   let tests =
     [
       Test.make ~name:"ring.successor_of_id"
         (Staged.stage (fun () ->
-             ignore (Ring.successor_of_id flat_ring (Canon_idspace.Id.random rng))));
+             ignore (Ring.successor_of_id flat_chain.(0) (Canon_idspace.Id.random rng))));
       Test.make ~name:"chord.links_of_one_node (n=4096)"
         (Staged.stage (fun () ->
              let node = random_node () in
-             ignore (Chord.links_of_id flat_ring flat_pop.Population.ids.(node) ~self:node)));
+             ignore (Crescendo.links ~ids:flat_pop.Population.ids flat_chain node)));
       Test.make ~name:"crescendo.links_of_one_node (3 levels)"
-        (Staged.stage (fun () -> ignore (Crescendo.links_of_node rings (random_node ()))));
+        (Staged.stage (fun () ->
+             let node = random_node () in
+             ignore (Crescendo.links ~ids:pop.Population.ids (chain node) node)));
       Test.make ~name:"router.greedy_clockwise (n=4096)"
         (Staged.stage (fun () ->
              let src = random_node () and dst = random_node () in

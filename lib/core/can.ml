@@ -1,1 +1,3 @@
-let build pop = Xor_dht.build_flat Xor_dht.Closest pop
+open Canon_overlay
+
+let build pop = Canon.build pop ~chain:(Canon.flat pop) (Xor_dht.links Closest ~ids:pop.Population.ids)

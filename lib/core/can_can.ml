@@ -1,1 +1,5 @@
-let build rings = Xor_dht.build_hierarchical Xor_dht.Closest rings
+open Canon_overlay
+
+let build rings =
+  let pop = Rings.population rings in
+  Canon.build pop ~chain:(Canon.canonical rings) (Xor_dht.links Closest ~ids:pop.Population.ids)

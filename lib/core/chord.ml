@@ -1,19 +1,3 @@
-open Canon_idspace
 open Canon_overlay
 
-let links_of_id ring id ~self =
-  let acc = Link_set.create ~self in
-  for k = 0 to Id.bits - 1 do
-    match Ring.finger ring id (1 lsl k) with
-    | None -> ()
-    | Some target -> Link_set.add acc target
-  done;
-  Link_set.to_array acc
-
-let build pop =
-  let n = Population.size pop in
-  let global = Ring.of_members ~ids:pop.Population.ids ~members:(Array.init n Fun.id) in
-  let links =
-    Array.init n (fun node -> links_of_id global pop.Population.ids.(node) ~self:node)
-  in
-  Overlay.create pop ~links
+let build pop = Canon.build pop ~chain:(Canon.flat pop) (Crescendo.links ~ids:pop.Population.ids)

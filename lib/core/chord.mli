@@ -11,11 +11,5 @@
 open Canon_overlay
 
 val build : Population.t -> Overlay.t
-(** Deterministic given the population: the hierarchy, if any, is
-    ignored — Chord is flat. *)
-
-val links_of_id :
-  Ring.t -> Canon_idspace.Id.t -> self:int -> int array
-(** The Chord link rule applied from one identifier against an
-    arbitrary ring (also used by the maintenance protocol when a node
-    recomputes its fingers). [self] is excluded from the result. *)
+(** {!Crescendo.links} over {!Canon.flat}: deterministic given the
+    population, the hierarchy, if any, ignored. *)

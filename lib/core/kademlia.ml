@@ -1,1 +1,4 @@
-let build rng pop = Xor_dht.build_flat (Xor_dht.Random rng) pop
+open Canon_overlay
+
+let build rng pop =
+  Canon.build pop ~chain:(Canon.flat pop) (Xor_dht.links (Random rng) ~ids:pop.Population.ids)

@@ -1,1 +1,5 @@
-let build rng rings = Xor_dht.build_hierarchical (Xor_dht.Random rng) rings
+open Canon_overlay
+
+let build rng rings =
+  let pop = Rings.population rings in
+  Canon.build pop ~chain:(Canon.canonical rings) (Xor_dht.links (Random rng) ~ids:pop.Population.ids)

@@ -15,18 +15,20 @@ let add_bucket_links rng ring id ~cap acc =
     incr k
   done
 
-let build rng pop =
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
-  let links =
-    Array.init n (fun node ->
-        let id = ids.(node) in
-        let acc = Link_set.create ~self:node in
-        if n >= 2 then begin
-          Link_set.add acc (Ring.successor_of_id global id);
-          add_bucket_links rng global id ~cap:Id.space acc
-        end;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+(* Successor then bucket choices in the leaf ring; above it, choices
+   restricted under the cap, then the level's successor, which keeps the
+   merged ring connected. *)
+let links rng ~ids chain node =
+  Canon.merge ~ids chain node
+    ~leaf:(fun ring id acc ->
+      if Ring.size ring >= 2 then begin
+        Link_set.add acc (Ring.successor_of_id ring id);
+        add_bucket_links rng ring id ~cap:Id.space acc
+      end)
+    ~above:(fun ring id ~cap acc ->
+      if Ring.size ring >= 2 then begin
+        add_bucket_links rng ring id ~cap acc;
+        Link_set.add acc (Ring.successor_of_id ring id)
+      end)
+
+let build rng pop = Canon.build pop ~chain:(Canon.flat pop) (links rng ~ids:pop.Population.ids)

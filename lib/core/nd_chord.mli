@@ -7,17 +7,16 @@
 
 open Canon_overlay
 
-val build : Canon_rng.Rng.t -> Population.t -> Overlay.t
+val links :
+  Canon_rng.Rng.t -> ids:Canon_idspace.Id.t array -> Ring.t array -> int -> int array
+(** The nondeterministic Chord rule pair over a chain of rings (see
+    {!Canon.merge}). For each [k] with [2{^k} < cap], a uniformly random
+    node at clockwise distance in [[2{^k}, min(2{^k+1}, cap))], when
+    that arc is non-empty: in the leaf ring the successor, then the
+    choices with no cap; above it the choices restricted under the cap
+    exactly as §3.2 prescribes, then the level's successor. Over the
+    global ring alone it is ND-Chord; over a domain chain,
+    ND-Crescendo. *)
 
-val add_bucket_links :
-  Canon_rng.Rng.t ->
-  Ring.t ->
-  Canon_idspace.Id.t ->
-  cap:int ->
-  Link_set.t ->
-  unit
-(** For each [k] with [2{^k} < cap], links to a uniformly random node at
-    clockwise distance in [[2{^k}, min(2{^k+1}, cap))] of [id], when
-    that arc is non-empty. [cap = Id.space] recovers the flat rule;
-    Canonical constructions pass the lower-level successor distance,
-    restricting the nondeterministic choice exactly as §3.2 prescribes. *)
+val build : Canon_rng.Rng.t -> Population.t -> Overlay.t
+(** {!links} over {!Canon.flat}. *)

@@ -45,29 +45,15 @@ let fill_cells rng ring id ~filled acc =
     done
   done
 
-let build rng pop =
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
-  let links =
-    Array.init n (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make (digits lsl digit_bits) false in
-        fill_cells rng global ids.(node) ~filled acc;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+(* Cells fill bottom-up over the chain; a cell filled lower down is
+   never re-filled, so the cap goes unused. *)
+let links rng ~ids chain node =
+  let filled = Array.make (digits lsl digit_bits) false in
+  let fill ring id acc = fill_cells rng ring id ~filled acc in
+  Canon.merge ~ids chain node ~leaf:fill ~above:(fun ring id ~cap:_ acc -> fill ring id acc)
+
+let build rng pop = Canon.build pop ~chain:(Canon.flat pop) (links rng ~ids:pop.Population.ids)
 
 let build_canonical rng rings =
   let pop = Rings.population rings in
-  let ids = pop.Population.ids in
-  let links =
-    Array.init (Population.size pop) (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make (digits lsl digit_bits) false in
-        Array.iter
-          (fun domain -> fill_cells rng (Rings.ring rings domain) ids.(node) ~filled acc)
-          (Rings.chain rings node);
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+  Canon.build pop ~chain:(Canon.canonical rings) (links rng ~ids:pop.Population.ids)

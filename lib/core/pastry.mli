@@ -29,7 +29,8 @@ val digits : int
 (** Digits per identifier: [Id.bits / digit_bits] = 8. *)
 
 val build : Canon_rng.Rng.t -> Population.t -> Overlay.t
-(** Flat Pastry. *)
+(** Flat Pastry: cells filled from the global ring ({!Canon.flat}). *)
 
 val build_canonical : Canon_rng.Rng.t -> Rings.t -> Overlay.t
-(** Canonical Pastry. *)
+(** Canonical Pastry: the same cell fill over each node's domain chain
+    ({!Canon.canonical}). *)

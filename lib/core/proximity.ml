@@ -122,18 +122,17 @@ let build_crescendo rings ~node_latency =
   let pop = Rings.population rings in
   let ids = pop.Population.ids in
   let root_ring = Rings.ring rings (Canon_hierarchy.Domain_tree.root pop.Population.tree) in
-  let links =
-    Array.init (Population.size pop) (fun node ->
-        (* Ordinary Crescendo below the root, the proximity pick on the
-           root ring. With a flat hierarchy the root is the leaf, and no
-           cap applies. *)
-        let rule ring id ~cap acc =
-          if ring == root_ring then add_prox_fingers ~ids ~node_latency node ring id ~cap acc
-          else Crescendo.add_fingers ~ids ring id ~cap acc
-        in
-        Crescendo.merge rings node ~leaf:(rule ~cap:Id.space) ~above:rule)
+  (* Ordinary Crescendo below the root, the proximity pick on the root
+     ring. With a flat hierarchy the root is the leaf, and no cap
+     applies. *)
+  let links chain node =
+    let rule ring id ~cap acc =
+      if ring == root_ring then add_prox_fingers ~ids ~node_latency node ring id ~cap acc
+      else Crescendo.add_fingers ~ids ring id ~cap acc
+    in
+    Canon.merge ~ids chain node ~leaf:(rule ~cap:Id.space) ~above:rule
   in
-  { kind = Crescendo_groups; overlay = Overlay.create pop ~links }
+  { kind = Crescendo_groups; overlay = Canon.build pop ~chain:(Canon.canonical rings) links }
 
 let overlay t = t.overlay
 

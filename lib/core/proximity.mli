@@ -15,7 +15,7 @@
       {!Router.route} over group ids — each node's top [T] bits kept in
       place, the rest cleared — toward the destination's group id, then
       one intra-group clique hop to the destination.
-    - [Crescendo (Prox.)]: a pair of rules over {!Crescendo.merge}:
+    - [Crescendo (Prox.)]: a pair of rules over {!Canon.merge}:
       ordinary Crescendo fingers below the root; at the top-level merge
       each surviving finger picks the lowest-latency node among all
       admissible candidates — the arc [\[2{^k}, min(2{^k+1}, cap))]

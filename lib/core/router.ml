@@ -6,9 +6,6 @@ module Trace = Canon_telemetry.Trace
 
 exception Stuck of { at : int; key : Id.t; hops : int; path : int array }
 
-let stuck u acc key hops =
-  Stuck { at = u; key; hops; path = Array.of_list (List.rev (u :: acc)) }
-
 (* Hierarchy level of a link: depth of the lowest common ancestor
    domain of its endpoints — 0 for a top-level link, deeper is more
    local. This is the level a span records for each hop. *)
@@ -16,32 +13,6 @@ let level_of_edge overlay =
   let pop = Overlay.population overlay in
   let tree = pop.Population.tree in
   fun u v -> Domain_tree.depth tree (Population.lca_of_nodes pop u v)
-
-(* Run one routing thunk under a trace: emit an Arrived span for the
-   returned route, or a Stuck span for the partial path before
-   re-raising. Engines only call this on the [Some trace] branch, so
-   the untraced path pays one match and nothing else. *)
-let traced tr ~kind ~key ~level run =
-  match run () with
-  | route ->
-      Trace.record tr ~kind ~key ~outcome:Span.Arrived ~nodes:route.Route.nodes ~level ();
-      route
-  | exception (Stuck { path; _ } as e) ->
-      Trace.record tr ~kind ~key ~outcome:Span.Stuck ~nodes:path ~level ();
-      raise e
-
-(* A generous hop budget: any genuine route is O(log n); if we exceed
-   the node count something is structurally wrong. *)
-let collect overlay src step key =
-  let max_hops = Overlay.size overlay + 1 in
-  let rec go u acc hops =
-    match step u with
-    | None -> Route.{ nodes = Array.of_list (List.rev (u :: acc)) }
-    | Some v ->
-        if hops >= max_hops then raise (stuck u acc key hops);
-        go v (u :: acc) (hops + 1)
-  in
-  go src [] 0
 
 (* --- the clockwise rule over a link view --------------------------- *)
 
@@ -112,101 +83,98 @@ let step ?dead view ~at:u ~key =
 
 let no_level _ _ = 0
 
-let route ?trace ?(level = no_level) ?dead view ~src ~key =
-  (match dead with
-  | Some dead when dead src -> invalid_arg "Router.route: dead source"
-  | Some _ | None -> ());
-  let max_hops = view.size + 1 (* the same budget as [collect] *) in
-  let record outcome nodes =
-    match trace with
-    | None -> ()
-    | Some tr -> Trace.record tr ~kind:"greedy_clockwise" ~key ~outcome ~nodes ~level ()
-  in
+let record trace ~kind ~key ~level outcome nodes =
+  match trace with
+  | None -> ()
+  | Some tr -> Trace.record tr ~kind ~key ~outcome ~nodes ~level ()
+
+(* The one route loop: apply [rule] from [src] until the message arrives
+   or is blocked. A generous hop budget: any genuine route is O(log n);
+   if it exceeds the node count something is structurally wrong. *)
+let walk ?trace ~kind ~level ~size ~src ~key rule =
+  let max_hops = size + 1 in
   let rec go u acc hops =
-    match step ?dead view ~at:u ~key with
+    match rule u with
     | Forward { next; _ } ->
         if hops >= max_hops then begin
           let path = Array.of_list (List.rev (u :: acc)) in
-          record Span.Stuck path;
+          record trace ~kind ~key ~level Span.Stuck path;
           raise (Stuck { at = u; key; hops; path })
         end;
         go next (u :: acc) (hops + 1)
     | Arrived ->
         let nodes = Array.of_list (List.rev (u :: acc)) in
-        record Span.Arrived nodes;
+        record trace ~kind ~key ~level Span.Arrived nodes;
         Some Route.{ nodes }
     | Blocked ->
-        record Span.Stranded (Array.of_list (List.rev (u :: acc)));
+        record trace ~kind ~key ~level Span.Stranded (Array.of_list (List.rev (u :: acc)));
         None
   in
   go src [] 0
 
-let greedy_clockwise ?trace overlay ~src ~key =
+let route ?trace ?(level = no_level) ?dead view ~src ~key =
+  (match dead with
+  | Some dead when dead src -> invalid_arg "Router.route: dead source"
+  | Some _ | None -> ());
+  walk ?trace ~kind:"greedy_clockwise" ~level ~size:view.size ~src ~key (fun u ->
+      step ?dead view ~at:u ~key)
+
+(* Over a static overlay nothing is dead, so nothing strands. *)
+let frozen_walk ?trace ~kind overlay ~src ~key rule =
   let level = match trace with None -> no_level | Some _ -> level_of_edge overlay in
-  match route ?trace ~level (frozen overlay) ~src ~key with
+  match walk ?trace ~kind ~level ~size:(Overlay.size overlay) ~src ~key rule with
   | Some r -> r
-  | None -> assert false (* nothing is dead, so nothing strands *)
+  | None -> assert false
+
+let greedy_clockwise ?trace overlay ~src ~key =
+  let view = frozen overlay in
+  frozen_walk ?trace ~kind:"greedy_clockwise" overlay ~src ~key (fun u -> step view ~at:u ~key)
 
 let greedy_clockwise_lookahead ?trace overlay ~src ~key =
-  let step u =
-    let du = Id.distance (Overlay.id overlay u) key in
-    if du = 0 then None
-    else begin
-      (* Score of standing at [w]: remaining clockwise distance to the
-         key. A first hop [v] is scored by the best reachable remaining
-         distance among [v] itself and [v]'s no-overshoot neighbours. *)
-      let remaining w = Id.distance (Overlay.id overlay w) key in
-      let no_overshoot a b =
-        Id.distance (Overlay.id overlay a) (Overlay.id overlay b) <= remaining a
-      in
-      let score v =
-        let best = ref (remaining v) in
-        Array.iter
-          (fun w -> if no_overshoot v w && remaining w < !best then best := remaining w)
-          (Overlay.links overlay v);
-        !best
-      in
-      let best = ref (-1) and best_score = ref du and best_progress = ref (-1) in
-      Array.iter
-        (fun v ->
-          if no_overshoot u v then begin
-            let s = score v in
-            let progress = du - remaining v in
-            if s < !best_score || (s = !best_score && progress > !best_progress) then begin
-              best := v;
-              best_score := s;
-              best_progress := progress
-            end
-          end)
-        (Overlay.links overlay u);
-      if !best < 0 then None else Some !best
-    end
+  (* Score of standing at [w]: remaining clockwise distance to the key.
+     A first hop [v] is scored by the best reachable remaining distance
+     among [v] itself and [v]'s no-overshoot neighbours. *)
+  let remaining w = Id.distance (Overlay.id overlay w) key in
+  let no_overshoot a b =
+    Id.distance (Overlay.id overlay a) (Overlay.id overlay b) <= remaining a
   in
-  match trace with
-  | None -> collect overlay src step key
-  | Some tr ->
-      traced tr ~kind:"greedy_clockwise_lookahead" ~key ~level:(level_of_edge overlay)
-        (fun () -> collect overlay src step key)
+  let score v =
+    let best = ref (remaining v) in
+    Array.iter
+      (fun w -> if no_overshoot v w && remaining w < !best then best := remaining w)
+      (Overlay.links overlay v);
+    !best
+  in
+  let rule u =
+    let du = remaining u in
+    let best = ref (-1) and best_score = ref du and best_progress = ref (-1) in
+    Array.iter
+      (fun v ->
+        if no_overshoot u v then begin
+          let s = score v in
+          let progress = du - remaining v in
+          if s < !best_score || (s = !best_score && progress > !best_progress) then begin
+            best := v;
+            best_score := s;
+            best_progress := progress
+          end
+        end)
+      (Overlay.links overlay u);
+    if !best < 0 then Arrived else Forward { next = !best; deviated = false }
+  in
+  frozen_walk ?trace ~kind:"greedy_clockwise_lookahead" overlay ~src ~key rule
 
 let greedy_xor ?trace overlay ~src ~key =
-  let step u =
-    let du = Id.xor_distance (Overlay.id overlay u) key in
-    if du = 0 then None
-    else begin
-      let best = ref (-1) and best_d = ref du in
-      Array.iter
-        (fun v ->
-          let d = Id.xor_distance (Overlay.id overlay v) key in
-          if d < !best_d then begin
-            best := v;
-            best_d := d
-          end)
-        (Overlay.links overlay u);
-      if !best < 0 then None else Some !best
-    end
+  let rule u =
+    let best = ref (-1) and best_d = ref (Id.xor_distance (Overlay.id overlay u) key) in
+    Array.iter
+      (fun v ->
+        let d = Id.xor_distance (Overlay.id overlay v) key in
+        if d < !best_d then begin
+          best := v;
+          best_d := d
+        end)
+      (Overlay.links overlay u);
+    if !best < 0 then Arrived else Forward { next = !best; deviated = false }
   in
-  match trace with
-  | None -> collect overlay src step key
-  | Some tr ->
-      traced tr ~kind:"greedy_xor" ~key ~level:(level_of_edge overlay) (fun () ->
-          collect overlay src step key)
+  frozen_walk ?trace ~kind:"greedy_xor" overlay ~src ~key rule

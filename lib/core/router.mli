@@ -25,6 +25,9 @@
       a local minimum (the key's owner when the adjacency is a valid
       hypercube structure).
 
+    The three engines share {!route}'s loop and hop budget; they differ
+    only in the rule that picks each next hop.
+
     {2 Tracing}
 
     Every engine takes an optional [?trace] collector

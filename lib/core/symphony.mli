@@ -9,8 +9,17 @@
 
 open Canon_overlay
 
+val links :
+  Canon_rng.Rng.t -> ids:Canon_idspace.Id.t array -> Ring.t array -> int -> int array
+(** The Symphony rule pair over a chain of rings (see {!Canon.merge}):
+    in the leaf ring the successor and [floor(log2 n_leaf)] harmonic
+    draws; above it [floor(log2 n_level)] draws kept under the cap,
+    then the level's successor. Failed draws (self, duplicate, beyond
+    the cap) are redrawn a bounded number of times. Over the global
+    ring alone it is flat Symphony; over a domain chain, Cacophony. *)
+
 val build : Canon_rng.Rng.t -> Population.t -> Overlay.t
-(** Flat Symphony; the hierarchy, if any, is ignored. *)
+(** Flat Symphony: {!links} over {!Canon.flat}. *)
 
 val harmonic_distance : Canon_rng.Rng.t -> n:int -> int
 (** One harmonic draw: a clockwise distance in [[1, 2{^N})] distributed
@@ -19,18 +28,3 @@ val harmonic_distance : Canon_rng.Rng.t -> n:int -> int
 
 val long_links_per_node : int -> int
 (** [floor(log2 n)]; 0 when [n <= 1]. *)
-
-val draw_long_links :
-  Canon_rng.Rng.t ->
-  ids:Canon_idspace.Id.t array ->
-  Ring.t ->
-  Canon_idspace.Id.t ->
-  wanted:int ->
-  cap:int ->
-  Link_set.t ->
-  unit
-(** Draws up to [wanted] distinct harmonic long links from identifier
-    [id] over [ring] into the accumulator, discarding targets at
-    clockwise distance [>= cap] (pass [Id.space] for no cap). Failed
-    draws are retried a bounded number of times. Shared with Cacophony,
-    which re-applies it per level with Canon's distance cap. *)

@@ -60,30 +60,9 @@ let fill_buckets choice ring id ~filled acc =
           filled.(k) <- true
   done
 
-let build_flat choice pop =
-  let n = Population.size pop in
-  let ids = pop.Population.ids in
-  let global = Ring.of_members ~ids ~members:(Array.init n Fun.id) in
-  let links =
-    Array.init n (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make Id.bits false in
-        fill_buckets choice global ids.(node) ~filled acc;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
-
-let build_hierarchical choice rings =
-  let pop = Rings.population rings in
-  let ids = pop.Population.ids in
-  let links =
-    Array.init (Population.size pop) (fun node ->
-        let acc = Link_set.create ~self:node in
-        let filled = Array.make Id.bits false in
-        let chain = Rings.chain rings node in
-        Array.iter
-          (fun domain -> fill_buckets choice (Rings.ring rings domain) ids.(node) ~filled acc)
-          chain;
-        Link_set.to_array acc)
-  in
-  Overlay.create pop ~links
+(* Buckets fill bottom-up over the chain; a bucket filled lower down is
+   never re-filled, so the cap goes unused. *)
+let links choice ~ids chain node =
+  let filled = Array.make Id.bits false in
+  let fill ring id acc = fill_buckets choice ring id ~filled acc in
+  Canon.merge ~ids chain node ~leaf:fill ~above:(fun ring id ~cap:_ acc -> fill ring id acc)

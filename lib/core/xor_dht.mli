@@ -32,6 +32,9 @@ type choice =
   | Closest  (** deterministic, bit-fixing (generalized CAN) *)
   | Random of Canon_rng.Rng.t  (** uniform bucket member (Kademlia) *)
 
-val build_flat : choice -> Population.t -> Overlay.t
-
-val build_hierarchical : choice -> Rings.t -> Overlay.t
+val links : choice -> ids:Canon_idspace.Id.t array -> Ring.t array -> int -> int array
+(** Buckets filled over a chain of rings, leaf first (see
+    {!Canon.merge}); a bucket filled in an inner ring is never
+    re-filled. Over the global ring alone it is the flat rule
+    (Kademlia, CAN); over a domain chain, the Canonical one (Kandy,
+    Can-Can). *)

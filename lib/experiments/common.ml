@@ -74,14 +74,13 @@ let hops_hist =
 
 let route_latency_hist = Metrics.histogram "router.route_latency_ms"
 
-let mean_hops rng overlay ~samples =
+let mean_hops ?(route = Router.greedy_clockwise) rng overlay ~samples =
   let n = Overlay.size overlay in
   let trace = Trace.ambient () in
   let total = ref 0 in
   for _ = 1 to samples do
     let src = Rng.int_below rng n and dst = Rng.int_below rng n in
-    let route = Router.greedy_clockwise ?trace overlay ~src ~key:(Overlay.id overlay dst) in
-    let hops = Route.hops route in
+    let hops = Route.hops (route ?trace overlay ~src ~key:(Overlay.id overlay dst)) in
     Metrics.incr lookups_counter;
     Metrics.observe hops_hist (Float.of_int hops);
     total := !total + hops

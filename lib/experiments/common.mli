@@ -60,8 +60,14 @@ val node_latency : topo_setup -> Population.t -> int -> int -> float
     included). *)
 
 val mean_hops :
-  Canon_rng.Rng.t -> Overlay.t -> samples:int -> float
-(** Mean greedy-clockwise hop count between random node pairs. *)
+  ?route:
+    (?trace:Canon_telemetry.Trace.t -> Overlay.t -> src:int -> key:Canon_idspace.Id.t -> Route.t) ->
+  Canon_rng.Rng.t ->
+  Overlay.t ->
+  samples:int ->
+  float
+(** Mean hop count of [route] (default {!Canon_core.Router.greedy_clockwise})
+    between random node pairs. *)
 
 val mean_route_latency :
   Canon_rng.Rng.t ->

@@ -7,21 +7,25 @@ module Table = Canon_stats.Table
 (* One measurement: [probes] lookups between random [candidates] pairs
    over a fresh simulated network. Success = the lookup terminated at
    the probed destination (we look up the destination's own id, so the
-   responsible node is the destination). *)
+   responsible node is the destination). With no candidates (every node
+   crashed) nothing is attempted or drawn. *)
 let measure rng overlay ~rings ~node_latency ~plan ~candidates ~probes =
-  let net = Net.create ~plan ~rings ~rng:(Rng.split rng) ~node_latency overlay in
-  let ok = ref 0 and wall = ref 0.0 in
-  for _ = 1 to probes do
-    let src = Rng.pick rng candidates and dst = Rng.pick rng candidates in
-    let r = Net.lookup net ~src ~key:(Overlay.id overlay dst) in
-    if Async_route.delivered r && Route.destination r.Async_route.route = dst then begin
-      incr ok;
-      wall := !wall +. r.Async_route.wall_ms
-    end
-  done;
-  let rate = Float.of_int !ok /. Float.of_int probes in
-  let mean_wall = if !ok = 0 then 0.0 else !wall /. Float.of_int !ok in
-  (rate, mean_wall)
+  if Array.length candidates = 0 then (0.0, 0.0)
+  else begin
+    let net = Net.create ~plan ~rings ~rng:(Rng.split rng) ~node_latency overlay in
+    let ok = ref 0 and wall = ref 0.0 in
+    for _ = 1 to probes do
+      let src = Rng.pick rng candidates and dst = Rng.pick rng candidates in
+      let r = Net.lookup net ~src ~key:(Overlay.id overlay dst) in
+      if Async_route.delivered r && Route.destination r.Async_route.route = dst then begin
+        incr ok;
+        wall := !wall +. r.Async_route.wall_ms
+      end
+    done;
+    let rate = Float.of_int !ok /. Float.of_int probes in
+    let mean_wall = if !ok = 0 then 0.0 else !wall /. Float.of_int !ok in
+    (rate, mean_wall)
+  end
 
 let live_nodes plan ~n =
   Array.of_list

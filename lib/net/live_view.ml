@@ -47,7 +47,7 @@ let links t v =
             let rings = Maintenance.rings t.m in
             let pop = Rings.population rings in
             let global = Rings.ring_of_node_at_depth rings v 0 in
-            let l = Chord.links_of_id global pop.Population.ids.(v) ~self:v in
+            let l = Crescendo.links ~ids:pop.Population.ids [| global |] v in
             Hashtbl.add t.memo v l;
             l)
 

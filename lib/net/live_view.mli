@@ -27,8 +27,8 @@ val crescendo : Canon_sim.Maintenance.t -> t
 
 val chord : Canon_sim.Maintenance.t -> t
 (** Flat-Chord counterpart over the same membership: {!links} applies
-    the Chord finger rule ({!Canon_core.Chord.links_of_id}) to the live
-    {e global} ring, memoized per {!generation}. This is what makes
+    the Chord finger rule ({!Canon_core.Crescendo.links} over a one-ring
+    chain) to the live {e global} ring, memoized per {!generation}. This is what makes
     Chord-vs-Crescendo comparisons under live churn possible — the
     maintenance protocol tracks membership, and this view derives the
     flat link state each generation. *)

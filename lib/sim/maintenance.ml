@@ -12,6 +12,7 @@ let repair_messages_hist = Metrics.histogram "sim.repair_messages_per_node"
 type t = {
   pop : Population.t;
   rings : Rings.t;
+  chain : int -> Ring.t array; (* Canon.canonical over [rings] *)
   present : bool array;
   links : int array array;
   in_links : (int, unit) Hashtbl.t array; (* reverse adjacency *)
@@ -30,6 +31,10 @@ let set_links t node new_links =
   Array.iter (fun v -> Hashtbl.replace t.in_links.(v) node ()) new_links;
   t.links.(node) <- new_links
 
+(* The static construction over the current membership: the rings
+   change in place, so the cached chains stay current. *)
+let crescendo_links t node = Crescendo.links ~ids:t.pop.Population.ids (t.chain node) node
+
 let create pop ~present =
   let n = Population.size pop in
   let rings = Rings.build_partial pop ~present in
@@ -37,13 +42,14 @@ let create pop ~present =
     {
       pop;
       rings;
+      chain = Canon.canonical rings;
       present = Array.make n false;
       links = Array.make n [||];
       in_links = Array.init n (fun _ -> Hashtbl.create 8);
     }
   in
   Array.iter (fun node -> t.present.(node) <- true) present;
-  Array.iter (fun node -> set_links t node (Crescendo.links_of_node rings node)) present;
+  Array.iter (fun node -> set_links t node (crescendo_links t node)) present;
   t
 
 let present t =
@@ -85,7 +91,7 @@ let refresh_candidates t candidates =
   Hashtbl.iter
     (fun node () ->
       if t.present.(node) then begin
-        let fresh = Crescendo.links_of_node t.rings node in
+        let fresh = crescendo_links t node in
         if not (same_link_set fresh t.links.(node)) then begin
           set_links t node fresh;
           incr changed
@@ -161,7 +167,7 @@ let join t m =
   in
   Rings.add_node t.rings m;
   t.present.(m) <- true;
-  let my_links = Crescendo.links_of_node t.rings m in
+  let my_links = crescendo_links t m in
   set_links t m my_links;
   let candidates = Hashtbl.create 64 in
   finger_candidates t m ~into:candidates;
@@ -193,7 +199,7 @@ let repair t =
   let link_messages = ref 0 in
   Array.iter
     (fun node ->
-      let fresh = Crescendo.links_of_node t.rings node in
+      let fresh = crescendo_links t node in
       link_messages := !link_messages + Array.length fresh;
       set_links t node fresh)
     stale;

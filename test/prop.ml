@@ -544,6 +544,59 @@ let prop_group_route ~case_seed ~n =
         (show (got ~src ~dst))
         (show (reference_group_route ov ~t_bits ~src ~dst))
 
+(* --- the deterministic flat rules against linear scans -------------- *)
+
+(* Each node's links by scanning every other node: for each k, the
+   candidate with the least [score] (None = not a candidate), appended
+   unless already linked — Link_set's order and deduplication. *)
+let scan_links ids ~score =
+  Array.init (Array.length ids) (fun u ->
+      let links = ref [] in
+      for k = 0 to Id.bits - 1 do
+        let best = ref (-1) and best_score = ref max_int in
+        Array.iteri
+          (fun v id_v ->
+            match score ids.(u) id_v k with
+            | Some s when v <> u && s < !best_score ->
+                best := v;
+                best_score := s
+            | Some _ | None -> ())
+          ids;
+        if !best >= 0 && not (List.mem !best !links) then links := !best :: !links
+      done;
+      Array.of_list (List.rev !links))
+
+(* Chord: the closest node at least 2^k away clockwise. *)
+let finger_score a b k =
+  let d = Id.distance a b in
+  if d >= 1 lsl k then Some d else None
+
+(* CAN: the XOR-closest member of bucket k, XOR distance in [2^k, 2^(k+1)). *)
+let bucket_score a b k =
+  let x = Id.xor_distance a b in
+  if x lsr k = 1 then Some x else None
+
+(* Random populations on distinct multiples of 2^25 (the 128 slots), so
+   fingers coincide, buckets go empty and the ring wraps often. *)
+let prop_rules_match_scan ~case_seed ~n =
+  let sc = scenario ~case_seed ~n in
+  let slots = Array.init 128 Fun.id in
+  Rng.shuffle_in_place (Rng.create (case_seed lxor 0x51ab)) slots;
+  let pop = { sc.pop with Population.ids = Array.init n (fun v -> slots.(v) lsl 25) } in
+  let links ov = Array.init n (Overlay.links ov) in
+  let ids = pop.Population.ids in
+  let mismatch name got expect =
+    match List.find_opt (fun u -> got.(u) <> expect.(u)) (List.init n Fun.id) with
+    | None -> Ok ()
+    | Some u ->
+        let show a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+        err "%s node %d: links [%s], linear scan gives [%s]" name u (show got.(u))
+          (show expect.(u))
+  in
+  match mismatch "chord" (links (Chord.build pop)) (scan_links ids ~score:finger_score) with
+  | Error _ as e -> e
+  | Ok () -> mismatch "can" (links (Can.build pop)) (scan_links ids ~score:bucket_score)
+
 (* --- the latency oracle and percentile edges ----------------------- *)
 
 module Transit_stub = Canon_topology.Transit_stub
@@ -779,6 +832,11 @@ let suites =
         Alcotest.test_case "one-pass step = two-pass rule" `Quick prop_step_matches_two_pass;
         Alcotest.test_case "chord-prox route = group-greedy loop" `Quick
           (check_sizes ~cases:200 ~seed:4711 ~stride:613 ~max_n:128 prop_group_route);
+      ] );
+    ( "prop.canon",
+      [
+        Alcotest.test_case "chord finger, can bucket = linear scan" `Quick
+          (check_sizes ~cases:100 ~seed:2718 ~stride:541 ~max_n:128 prop_rules_match_scan);
       ] );
     ( "prop.replication",
       [

@@ -175,16 +175,26 @@ let crescendo_fixture =
      let rings = Rings.build pop in
      (pop, rings, Crescendo.build rings))
 
-let test_crescendo_flat_equals_chord () =
-  let pop = make_pop ~seed:3 ~fanout:10 ~levels:1 ~n:512 () in
-  let chord = Chord.build pop in
-  let crescendo = Crescendo.build (Rings.build pop) in
-  for node = 0 to Population.size pop - 1 do
-    let sort l = let l = Array.copy l in Array.sort Int.compare l; l in
-    Alcotest.(check (array int)) "flat crescendo = chord"
-      (sort (Overlay.links chord node))
-      (sort (Overlay.links crescendo node))
-  done
+(* Flat = Canonical at one level, in exact link order: the flat build
+   equals the Canonical build over a one-level hierarchy at the same
+   seed, and the flat build over a 3-level population equals the flat
+   build over the same ids. Both builds take a fresh RNG (deterministic
+   rules ignore it). *)
+let test_flat_equals_one_level ~flat ~canonical () =
+  let links ov = Array.init (Overlay.size ov) (Overlay.links ov) in
+  List.iter
+    (fun n ->
+      let one = make_pop ~seed:(3 + n) ~fanout:10 ~levels:1 ~n () in
+      Alcotest.(check (array (array int)))
+        (Printf.sprintf "n = %d: flat = one-level canonical" n)
+        (links (flat (Rng.create 7) one))
+        (links (canonical (Rng.create 7) (Rings.build one)));
+      let three = make_pop ~seed:(4 + n) ~fanout:10 ~levels:3 ~n () in
+      Alcotest.(check (array (array int)))
+        (Printf.sprintf "n = %d: flat ignores the hierarchy" n)
+        (links (flat (Rng.create 7) three))
+        (links (flat (Rng.create 7) { one with Population.ids = three.Population.ids })))
+    [ 1; 2; 17; 128; 1000 ]
 
 let test_crescendo_successor_at_every_level () =
   let pop, rings, ov = Lazy.force crescendo_fixture in
@@ -804,7 +814,10 @@ let suites =
       ] );
     ( "crescendo",
       [
-        Alcotest.test_case "flat = chord" `Quick test_crescendo_flat_equals_chord;
+        Alcotest.test_case "flat = chord" `Quick
+          (test_flat_equals_one_level
+             ~flat:(fun _ pop -> Chord.build pop)
+             ~canonical:(fun _ rings -> Crescendo.build rings));
         Alcotest.test_case "successor at every level" `Quick test_crescendo_successor_at_every_level;
         Alcotest.test_case "condition (b)" `Quick (test_condition_b (fun _ rings -> Crescendo.build rings));
         Alcotest.test_case "routing reaches" `Quick test_crescendo_routing_reaches;
@@ -828,6 +841,8 @@ let suites =
         Alcotest.test_case "degree" `Quick test_cacophony_degree;
         Alcotest.test_case "condition (b)" `Quick
           (test_condition_b (fun _ rings -> Cacophony.build (Rng.create 300) rings));
+        Alcotest.test_case "one level = symphony" `Quick
+          (test_flat_equals_one_level ~flat:Symphony.build ~canonical:Cacophony.build);
       ] );
     ( "nd-chord",
       [
@@ -837,6 +852,8 @@ let suites =
         Alcotest.test_case "nd-crescendo locality" `Quick test_nd_crescendo_locality;
         Alcotest.test_case "nd-crescendo condition (b)" `Quick
           (test_condition_b (fun _ rings -> Nd_crescendo.build (Rng.create 600) rings));
+        Alcotest.test_case "nd-crescendo one level = nd-chord" `Quick
+          (test_flat_equals_one_level ~flat:Nd_chord.build ~canonical:Nd_crescendo.build);
       ] );
     ( "xor-dhts",
       [
@@ -848,6 +865,12 @@ let suites =
         Alcotest.test_case "can closest choice" `Quick test_can_closest_choice;
         Alcotest.test_case "can-can reaches" `Quick test_can_can_reaches;
         Alcotest.test_case "hierarchical xor degree" `Quick test_xor_hier_degree;
+        Alcotest.test_case "kandy one level = kademlia" `Quick
+          (test_flat_equals_one_level ~flat:Kademlia.build ~canonical:Kandy.build);
+        Alcotest.test_case "can-can one level = can" `Quick
+          (test_flat_equals_one_level
+             ~flat:(fun _ pop -> Can.build pop)
+             ~canonical:(fun _ rings -> Can_can.build rings));
       ] );
     ( "proximity",
       [

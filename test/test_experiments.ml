@@ -217,6 +217,14 @@ let test_robustness_deterministic () =
   Alcotest.(check bool) "spans were traced" true (lines1 <> []);
   Alcotest.(check (list string)) "JSONL traces byte-identical" lines1 lines2
 
+(* Every node crashed: the global measurement has no live pair to probe,
+   so it reports zero success instead of failing. *)
+let test_robustness_all_crashed () =
+  let t = Robustness_bench.run_with ~fail_fracs:[ 1.0 ] ~n:64 ~probes:5 ~scale:`Quick ~seed () in
+  Alcotest.(check string) "row" "100%" (cell t 0 0);
+  Alcotest.(check string) "chord ok" "0.000" (cell t 0 1);
+  Alcotest.(check string) "crescendo ok" "0.000" (cell t 0 2)
+
 let test_durability_shape () =
   let t =
     Durability.run_with ~fail_fracs:[ 0.2 ] ~ks:[ 2; 3 ] ~n:192 ~keys:200
@@ -301,6 +309,7 @@ let suites =
         Alcotest.test_case "fig9 shape" `Slow test_fig9_shape;
         Alcotest.test_case "caching shape" `Slow test_caching_shape;
         Alcotest.test_case "robustness determinism" `Slow test_robustness_deterministic;
+        Alcotest.test_case "robustness all crashed" `Quick test_robustness_all_crashed;
         Alcotest.test_case "durability shape" `Slow test_durability_shape;
         Alcotest.test_case "durability validation" `Quick test_durability_validates;
         Alcotest.test_case "churn_async shape" `Slow test_churn_async_shape;

@@ -311,6 +311,9 @@ let suites =
         Alcotest.test_case "canonical reaches + locality" `Quick
           test_canonical_pastry_reaches_and_locality;
         Alcotest.test_case "degree" `Quick test_pastry_degree;
+        Alcotest.test_case "canonical one level = pastry" `Quick
+          (Test_core.test_flat_equals_one_level ~flat:Pastry.build
+             ~canonical:Pastry.build_canonical);
       ] );
     ( "prefix-can",
       [

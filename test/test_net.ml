@@ -482,7 +482,7 @@ let test_live_view_chord_links () =
   (* the finger rule applied to the live global ring *)
   let expect u =
     let ring = Rings.ring_of_node_at_depth (Maintenance.rings m) u 0 in
-    Chord.links_of_id ring pop.Population.ids.(u) ~self:u
+    Crescendo.links ~ids:pop.Population.ids [| ring |] u
   in
   Alcotest.(check (array int)) "finger rule over live global ring" (expect 7)
     (Live_view.links v 7);

@@ -153,11 +153,11 @@ let prop_random_maintenance_equivalence =
         ignore (Canon_sim.Maintenance.leave m order.(i))
       done;
       let live = Canon_sim.Maintenance.present m in
-      let fresh = Rings.build_partial pop ~present:live in
+      let chain = Canon.canonical (Rings.build_partial pop ~present:live) in
       Array.for_all
         (fun node ->
           let sort a = let a = Array.copy a in Array.sort Int.compare a; a in
-          sort (Crescendo.links_of_node fresh node)
+          sort (Crescendo.links ~ids:pop.Population.ids (chain node) node)
           = sort (Canon_sim.Maintenance.links m node))
         live)
 

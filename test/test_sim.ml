@@ -109,10 +109,10 @@ let make_universe ~n seed =
    live nodes. *)
 let check_equivalence m pop =
   let live = Maintenance.present m in
-  let fresh_rings = Rings.build_partial pop ~present:live in
+  let chain = Canon.canonical (Rings.build_partial pop ~present:live) in
   Array.iter
     (fun node ->
-      let expected = Crescendo.links_of_node fresh_rings node in
+      let expected = Crescendo.links ~ids:pop.Population.ids (chain node) node in
       let actual = Maintenance.links m node in
       let sort a = let a = Array.copy a in Array.sort Int.compare a; a in
       if sort expected <> sort actual then
