@@ -12,6 +12,23 @@ let seed_arg =
   let doc = "Random seed; identical seeds reproduce identical tables." in
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
+(* Numeric flags are range-checked while parsing, so a bad value is
+   reported against the one option that carries it. *)
+let checked conv ok msg =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg msg)
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let prob = checked Arg.float (fun p -> p >= 0.0 && p <= 1.0) "must be in [0, 1]"
+
+let positive = checked Arg.float (fun x -> x > 0.0) "must be > 0"
+
+let at_least k = checked Arg.int (fun n -> n >= k) (Printf.sprintf "must be >= %d" k)
+
 let quick_arg =
   let doc = "Run at reduced scale (fast; same qualitative shapes)." in
   Arg.(value & flag & info [ "q"; "quick" ] ~doc)
@@ -26,7 +43,7 @@ let trace_arg =
 
 let sample_arg =
   let doc = "With --trace: keep every $(docv)-th lookup only (default 1 = all)." in
-  Arg.(value & opt int 1 & info [ "trace-sample" ] ~docv:"K" ~doc)
+  Arg.(value & opt (at_least 1) 1 & info [ "trace-sample" ] ~docv:"K" ~doc)
 
 let metrics_arg =
   let doc = "Print the telemetry metrics registry after the experiment." in
@@ -35,32 +52,24 @@ let metrics_arg =
 let scale_of quick = if quick then `Quick else Common.scale_of_env ()
 
 let run_experiment build quick seed trace_file sample_every metrics =
-  if sample_every < 1 then `Error (false, "--trace-sample must be >= 1")
-  else begin
-    match
-      Option.map
-        (fun file ->
-          Telemetry.Trace.create ~sample_every ~sink:(Telemetry.Sink.jsonl_file file) ())
-        trace_file
-    with
-    | exception Sys_error msg -> `Error (false, "cannot open trace file: " ^ msg)
-    | trace ->
-    Telemetry.Trace.set_ambient trace;
-    let finally () =
-      Telemetry.Trace.set_ambient None;
-      Option.iter Telemetry.Trace.flush trace
-    in
-    Fun.protect ~finally (fun () ->
-        let table = build ~scale:(scale_of quick) ~seed in
-        Table.print table);
-    Option.iter
-      (fun tr ->
-        Printf.printf "[trace: %d lookups seen, %d spans written]\n"
-          (Telemetry.Trace.seen tr) (Telemetry.Trace.emitted tr))
-      trace;
-    if metrics then Table.print (Telemetry.Report.table ());
-    `Ok ()
-  end
+  match Option.map (fun file -> Telemetry.Trace.create ~sample_every ~file ()) trace_file with
+  | exception Sys_error msg -> `Error (false, "cannot open trace file: " ^ msg)
+  | trace ->
+      Telemetry.Trace.set_ambient trace;
+      let finally () =
+        Telemetry.Trace.set_ambient None;
+        Option.iter Telemetry.Trace.flush trace
+      in
+      Fun.protect ~finally (fun () ->
+          let table = build ~scale:(scale_of quick) ~seed in
+          Table.print table);
+      Option.iter
+        (fun tr ->
+          Printf.printf "[trace: %d lookups seen, %d spans written]\n"
+            (Telemetry.Trace.seen tr) (Telemetry.Trace.emitted tr))
+        trace;
+      if metrics then Table.print (Telemetry.Report.table ());
+      `Ok ()
 
 let experiment_cmd name ~doc build =
   let term =
@@ -80,14 +89,11 @@ let fig6_cmd =
       "Measure a single network size $(docv) instead of the default sweep \
        (2048..131072 at paper scale)."
     in
-    Arg.(value & opt (some int) None & info [ "n"; "nodes" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some (at_least 2)) None & info [ "n"; "nodes" ] ~docv:"N" ~doc)
   in
   let run n =
-    if (match n with Some n when n < 2 -> true | _ -> false) then
-      fun _ _ _ _ _ -> `Error (false, "--n must be >= 2")
-    else
-      run_experiment (fun ~scale ~seed ->
-          Fig6.run_with ?sizes:(Option.map (fun n -> [ n ]) n) ~scale ~seed ())
+    run_experiment (fun ~scale ~seed ->
+        Fig6.run_with ?sizes:(Option.map (fun n -> [ n ]) n) ~scale ~seed ())
   in
   let doc = "Figure 6: latency and stretch on the transit-stub internet." in
   Cmd.v (Cmd.info "fig6" ~doc)
@@ -102,35 +108,28 @@ let robustness_cmd =
       "Measure a single crashed-node fraction $(docv) instead of the default sweep \
        (0, 0.05, 0.1, 0.2, 0.3)."
     in
-    Arg.(value & opt (some float) None & info [ "fail-frac" ] ~docv:"FRAC" ~doc)
+    Arg.(value & opt (some prob) None & info [ "fail-frac" ] ~docv:"FRAC" ~doc)
   in
   let loss_arg =
     let doc = "Per-message loss probability (default 0.01)." in
-    Arg.(value & opt (some float) None & info [ "loss" ] ~docv:"PROB" ~doc)
+    Arg.(value & opt (some prob) None & info [ "loss" ] ~docv:"PROB" ~doc)
   in
   let n_arg =
     let doc =
       "Population size $(docv) instead of the scale default (8192 paper / 2048 quick); \
        the lazy latency oracle admits sizes past 65536."
     in
-    Arg.(value & opt (some int) None & info [ "n"; "nodes" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some (at_least 1)) None & info [ "n"; "nodes" ] ~docv:"N" ~doc)
   in
   let probes_arg =
     let doc = "Lookups per sweep point (default 1500 paper / 300 quick)." in
-    Arg.(value & opt (some int) None & info [ "probes" ] ~docv:"K" ~doc)
+    Arg.(value & opt (some (at_least 1)) None & info [ "probes" ] ~docv:"K" ~doc)
   in
   let run fail_frac loss n probes =
-    let bad_prob = function Some f when f < 0.0 || f > 1.0 -> true | Some _ | None -> false in
-    let bad_pos = function Some k when k < 1 -> true | Some _ | None -> false in
-    if bad_prob fail_frac || bad_prob loss then
-      fun _ _ _ _ _ -> `Error (false, "--fail-frac and --loss must be in [0, 1]")
-    else if bad_pos n || bad_pos probes then
-      fun _ _ _ _ _ -> `Error (false, "--n and --probes must be >= 1")
-    else
-      run_experiment (fun ~scale ~seed ->
-          Robustness_bench.run_with
-            ?fail_fracs:(Option.map (fun f -> [ f ]) fail_frac)
-            ?loss ?n ?probes ~scale ~seed ())
+    run_experiment (fun ~scale ~seed ->
+        Robustness_bench.run_with
+          ?fail_fracs:(Option.map (fun f -> [ f ]) fail_frac)
+          ?loss ?n ?probes ~scale ~seed ())
   in
   let doc =
     "Message-level robustness: lookup success and latency vs crashed-node fraction \
@@ -150,11 +149,11 @@ let durability_cmd =
       "Measure a single crashed-node fraction $(docv) instead of the default sweep \
        (0.1, 0.2, 0.3, 0.5). The whole-domain outage row is always included."
     in
-    Arg.(value & opt (some float) None & info [ "fail-frac" ] ~docv:"FRAC" ~doc)
+    Arg.(value & opt (some prob) None & info [ "fail-frac" ] ~docv:"FRAC" ~doc)
   in
   let replicas_arg =
     let doc = "Replication degree $(docv) instead of the default sweep (2 and 3)." in
-    Arg.(value & opt (some int) None & info [ "replicas" ] ~docv:"K" ~doc)
+    Arg.(value & opt (some (at_least 1)) None & info [ "replicas" ] ~docv:"K" ~doc)
   in
   let spread_arg =
     let doc =
@@ -172,18 +171,12 @@ let durability_cmd =
     Arg.(value & opt (some policy) None & info [ "spread" ] ~docv:"POLICY" ~doc)
   in
   let run fail_frac replicas spread =
-    let bad_prob = function Some f when f < 0.0 || f > 1.0 -> true | Some _ | None -> false in
-    if bad_prob fail_frac then
-      fun _ _ _ _ _ -> `Error (false, "--fail-frac must be in [0, 1]")
-    else if (match replicas with Some k when k < 1 -> true | _ -> false) then
-      fun _ _ _ _ _ -> `Error (false, "--replicas must be >= 1")
-    else
-      run_experiment (fun ~scale ~seed ->
-          Durability.run_with
-            ?fail_fracs:(Option.map (fun f -> [ f ]) fail_frac)
-            ?ks:(Option.map (fun k -> [ k ]) replicas)
-            ?spreads:(Option.map (fun s -> [ s ]) spread)
-            ~scale ~seed ())
+    run_experiment (fun ~scale ~seed ->
+        Durability.run_with
+          ?fail_fracs:(Option.map (fun f -> [ f ]) fail_frac)
+          ?ks:(Option.map (fun k -> [ k ]) replicas)
+          ?spreads:(Option.map (fun s -> [ s ]) spread)
+          ~scale ~seed ())
   in
   let doc =
     "Data durability: keys-surviving fraction vs crashed-node fraction and a \
@@ -198,37 +191,27 @@ let durability_cmd =
 let churn_async_cmd =
   let churn_rate_arg =
     let doc = "Membership events per simulated second (default 100)." in
-    Arg.(value & opt (some float) None & info [ "churn-rate" ] ~docv:"RATE" ~doc)
+    Arg.(value & opt (some positive) None & info [ "churn-rate" ] ~docv:"RATE" ~doc)
   in
   let lookup_rate_arg =
     let doc = "Lookup launches per simulated second (default 200)." in
-    Arg.(value & opt (some float) None & info [ "lookup-rate" ] ~docv:"RATE" ~doc)
+    Arg.(value & opt (some positive) None & info [ "lookup-rate" ] ~docv:"RATE" ~doc)
   in
   let events_arg =
     let doc = "Membership events in the burst (default 400 paper / 120 quick)." in
-    Arg.(value & opt (some int) None & info [ "events" ] ~docv:"K" ~doc)
+    Arg.(value & opt (some (at_least 0)) None & info [ "events" ] ~docv:"K" ~doc)
   in
   let n_arg =
     let doc = "Population size $(docv) instead of the scale default (4096 paper / 1024 quick)." in
-    Arg.(value & opt (some int) None & info [ "n"; "nodes" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some (at_least 16)) None & info [ "n"; "nodes" ] ~docv:"N" ~doc)
   in
   let lookups_arg =
     let doc = "Lookups per phase (default 800 paper / 200 quick)." in
-    Arg.(value & opt (some int) None & info [ "lookups" ] ~docv:"K" ~doc)
+    Arg.(value & opt (some (at_least 1)) None & info [ "lookups" ] ~docv:"K" ~doc)
   in
   let run churn_rate lookup_rate events n lookups =
-    let bad_rate = function Some r when r <= 0.0 -> true | Some _ | None -> false in
-    if bad_rate churn_rate || bad_rate lookup_rate then
-      fun _ _ _ _ _ -> `Error (false, "--churn-rate and --lookup-rate must be > 0")
-    else if (match events with Some e when e < 0 -> true | _ -> false) then
-      fun _ _ _ _ _ -> `Error (false, "--events must be >= 0")
-    else if
-      (match n with Some k when k < 16 -> true | _ -> false)
-      || (match lookups with Some k when k < 1 -> true | _ -> false)
-    then fun _ _ _ _ _ -> `Error (false, "--n must be >= 16 and --lookups >= 1")
-    else
-      run_experiment (fun ~scale ~seed ->
-          Churn_async.run_with ?churn_rate ?lookup_rate ?events ?n ?lookups ~scale ~seed ())
+    run_experiment (fun ~scale ~seed ->
+        Churn_async.run_with ?churn_rate ?lookup_rate ?events ?n ?lookups ~scale ~seed ())
   in
   let doc =
     "Churn x async: lookup success and p50/p99 wall-clock during live churn — joins, \

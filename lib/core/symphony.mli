@@ -25,6 +25,3 @@ val harmonic_distance : Canon_rng.Rng.t -> n:int -> int
 (** One harmonic draw: a clockwise distance in [[1, 2{^N})] distributed
     as [x * 2{^N}] with [x ~ 1/(x ln n)] on [[1/n, 1)]. Requires
     [n >= 2]. *)
-
-val long_links_per_node : int -> int
-(** [floor(log2 n)]; 0 when [n <= 1]. *)

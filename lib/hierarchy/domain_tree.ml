@@ -103,15 +103,3 @@ let subtree_leaves t d =
   in
   go d;
   Array.of_list (List.rev !acc)
-
-let pp ppf t =
-  let rec go ppf d =
-    if is_leaf t d then Format.fprintf ppf "%d" d
-    else
-      Format.fprintf ppf "%d(%a)" d
-        (Format.pp_print_array
-           ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
-           go)
-        t.children.(d)
-  in
-  go ppf 0

@@ -66,5 +66,3 @@ val iter_domains : t -> (int -> unit) -> unit
 
 val subtree_leaves : t -> int -> int array
 (** Leaves of the subtree rooted at the given domain, left to right. *)
-
-val pp : Format.formatter -> t -> unit

@@ -36,9 +36,7 @@ let log2_floor d =
   let rec go k v = if v <= 1 then k else go (k + 1) (v lsr 1) in
   go 0 d
 
-let pp ppf t = Format.fprintf ppf "%08x" t
-
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = Printf.sprintf "%08x" t
 
 let common_prefix_bits a b =
   let x = a lxor b in

@@ -56,10 +56,8 @@ val in_clockwise_interval : t -> lo:t -> hi:t -> bool
 val log2_floor : int -> int
 (** [log2_floor d] for [d > 0] is the largest [k] with [2{^k} <= d]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints as zero-padded hexadecimal. *)
-
 val to_string : t -> string
+(** Zero-padded hexadecimal. *)
 
 val common_prefix_bits : t -> t -> int
 (** Number of leading bits (out of {!bits}) shared by the two ids. *)

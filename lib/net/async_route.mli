@@ -45,5 +45,3 @@ val delivered : t -> bool
 val status_to_string : status -> string
 
 val failure_to_string : failure -> string
-
-val pp : Format.formatter -> t -> unit

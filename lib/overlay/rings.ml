@@ -5,28 +5,6 @@ type t = {
   rings : Ring.t array; (* indexed by domain *)
 }
 
-let build pop =
-  let tree = pop.Population.tree in
-  let nd = Domain_tree.num_domains tree in
-  (* Collect member lists bottom-up: credit each node to every ancestor
-     of its leaf. *)
-  let buckets = Array.make nd [] in
-  Array.iteri
-    (fun node leaf ->
-      let rec credit d =
-        buckets.(d) <- node :: buckets.(d);
-        if d <> Domain_tree.root tree then credit (Domain_tree.parent tree d)
-      in
-      credit leaf)
-    pop.Population.leaf_of_node;
-  let rings =
-    Array.map
-      (fun bucket ->
-        Ring.of_members ~ids:pop.Population.ids ~members:(Array.of_list bucket))
-      buckets
-  in
-  { population = pop; rings }
-
 let population t = t.population
 
 let ring t d = t.rings.(d)
@@ -49,6 +27,8 @@ let chain t node =
 let build_partial pop ~present =
   let tree = pop.Population.tree in
   let nd = Domain_tree.num_domains tree in
+  (* Collect member lists bottom-up: credit each node to every ancestor
+     of its leaf. *)
   let buckets = Array.make nd [] in
   Array.iter
     (fun node ->
@@ -65,6 +45,8 @@ let build_partial pop ~present =
       buckets
   in
   { population = pop; rings }
+
+let build pop = build_partial pop ~present:(Array.init (Population.size pop) Fun.id)
 
 let add_node t node =
   let id = t.population.Population.ids.(node) in

@@ -47,10 +47,3 @@ let domain_crossings t ~domain_of_node =
   Array.fold_left
     (fun acc (u, v) -> if domain_of_node u <> domain_of_node v then acc + 1 else acc)
     0 (edges t)
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
-       Format.pp_print_int)
-    t.nodes

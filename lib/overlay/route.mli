@@ -37,5 +37,3 @@ val domain_crossings :
 (** Number of edges whose endpoints lie in different domains under the
     given assignment — the "inter-domain links" of the multicast
     experiment (Fig. 9). *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,11 +34,3 @@ let pdf t =
     done;
     !out
   end
-
-let pp ppf t =
-  let bars = pdf t in
-  List.iter
-    (fun (v, f) ->
-      let width = int_of_float (f *. 200.0) in
-      Format.fprintf ppf "%4d | %-50s %.4f@." v (String.make (min width 50) '#') f)
-    bars

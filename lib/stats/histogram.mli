@@ -1,5 +1,5 @@
 (** Integer-valued histograms, used for the degree-distribution figure
-    (paper Fig. 4) and for sanity plots in examples. *)
+    (paper Fig. 4). *)
 
 type t
 
@@ -21,6 +21,3 @@ val max_value : t -> int
 val pdf : t -> (int * float) list
 (** [(value, fraction)] pairs for every value with non-zero count, in
     increasing value order. Fractions sum to 1 (when non-empty). *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders the PDF as an ASCII bar chart. *)

@@ -30,5 +30,3 @@ val summarize : float array -> summary
 (** Full summary of a non-empty sample. *)
 
 val summarize_int : int array -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

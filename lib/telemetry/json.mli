@@ -1,10 +1,9 @@
-(** Minimal JSON values, printing, and parsing.
+(** Minimal JSON values and printing.
 
     The repository deliberately has no third-party JSON dependency; this
-    module implements exactly the subset the telemetry layer needs:
-    construction and compact one-line printing (for JSONL sinks and
-    [BENCH.json]) and a strict recursive-descent parser (for round-trip
-    tests and external tooling written against the trace format). *)
+    module implements exactly what the telemetry layer writes: JSONL
+    span lines ({!Trace}) and the metrics object of [BENCH.json]. It
+    is write-only — nothing in the repository reads JSON back. *)
 
 type t =
   | Null
@@ -17,22 +16,5 @@ type t =
 
 val to_string : t -> string
 (** Compact rendering, no newlines — one value is one JSONL line.
-    Floats print via ["%.17g"] so parsing gives back the same float;
+    Floats print via ["%.17g"] so a reader gets back the same float;
     non-finite floats render as [null] (JSON has no representation). *)
-
-val of_string : string -> (t, string) result
-(** Strict parse of a complete JSON value (surrounding whitespace
-    allowed). Numbers without ['.'], ['e'] or ['E'] parse as [Int]. *)
-
-val member : string -> t -> t option
-(** Field lookup in an [Obj]; [None] on missing field or non-object. *)
-
-val to_int : t -> int option
-(** [Int n] gives [n]; other values give [None]. *)
-
-val to_float : t -> float option
-(** [Float x] or [Int n] (widened); other values give [None]. *)
-
-val to_list : t -> t list option
-
-val to_str : t -> string option

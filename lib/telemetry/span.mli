@@ -59,12 +59,5 @@ val path : t -> int array
 val total_latency : t -> float
 (** Cumulative latency at the last event; 0 for a single-node span. *)
 
-val outcome_to_string : outcome -> string
-
-val to_json : t -> Json.t
-
 val to_jsonl : t -> string
 (** One compact JSON object, no newline — a JSONL line body. *)
-
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; [Error] names the first malformed field. *)

@@ -1,17 +1,18 @@
 type t = {
-  capacity : int;
   sample_every : int;
   mutable latency : (int -> int -> float) option;
-  sink : Sink.t;
+  mutable out : out_channel option;
   retained : Span.t Queue.t;
   mutable seen : int;
   mutable emitted : int;
 }
 
-let create ?(capacity = 4096) ?(sample_every = 1) ?latency ?(sink = Sink.null) () =
-  if capacity < 1 then invalid_arg "Trace.create: capacity < 1";
+let capacity = 4096
+
+let create ?(sample_every = 1) ?latency ?file () =
   if sample_every < 1 then invalid_arg "Trace.create: sample_every < 1";
-  { capacity; sample_every; latency; sink; retained = Queue.create (); seen = 0; emitted = 0 }
+  let out = Option.map open_out file in
+  { sample_every; latency; out; retained = Queue.create (); seen = 0; emitted = 0 }
 
 let record t ~kind ~key ~outcome ~nodes ~level ?latency () =
   let sampled = t.seen mod t.sample_every = 0 in
@@ -21,8 +22,12 @@ let record t ~kind ~key ~outcome ~nodes ~level ?latency () =
     let span = Span.make ~id:t.emitted ~kind ~key ~outcome ~nodes ~level ?latency () in
     t.emitted <- t.emitted + 1;
     Queue.push span t.retained;
-    if Queue.length t.retained > t.capacity then ignore (Queue.pop t.retained);
-    Sink.write t.sink (Span.to_jsonl span)
+    if Queue.length t.retained > capacity then ignore (Queue.pop t.retained);
+    Option.iter
+      (fun oc ->
+        output_string oc (Span.to_jsonl span);
+        output_char oc '\n')
+      t.out
   end
 
 let set_latency t oracle = t.latency <- oracle
@@ -33,9 +38,9 @@ let emitted t = t.emitted
 
 let spans t = List.of_seq (Queue.to_seq t.retained)
 
-let sink t = t.sink
-
-let flush t = Sink.close t.sink
+let flush t =
+  Option.iter close_out t.out;
+  t.out <- None
 
 let current : t option ref = ref None
 

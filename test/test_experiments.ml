@@ -192,15 +192,14 @@ let test_caching_shape () =
     (Table.rows t)
 
 module Trace = Canon_telemetry.Trace
-module Sink = Canon_telemetry.Sink
+module Span = Canon_telemetry.Span
 
 (* Determinism regression: the same seed must reproduce the robustness
-   sweep bit for bit — the rendered table AND the JSONL span trace
-   streamed through the ambient sink. *)
+   sweep bit for bit — the rendered table AND the JSONL lines of the
+   spans the ambient trace recorded. *)
 let test_robustness_deterministic () =
   let run () =
-    let sink = Sink.memory () in
-    let trace = Trace.create ~sink () in
+    let trace = Trace.create () in
     Trace.set_ambient (Some trace);
     Fun.protect
       ~finally:(fun () -> Trace.set_ambient None)
@@ -209,7 +208,7 @@ let test_robustness_deterministic () =
           Robustness_bench.run_with ~fail_fracs:[ 0.2 ] ~loss:0.05 ~n:128 ~probes:40
             ~scale:`Quick ~seed:7 ()
         in
-        (Table.rows t, Sink.lines sink))
+        (Table.rows t, List.map Span.to_jsonl (Trace.spans trace)))
   in
   let rows1, lines1 = run () in
   let rows2, lines2 = run () in

@@ -1,7 +1,7 @@
 (* Tests for the telemetry subsystem: histogram percentiles against a
    sorted-array oracle, span invariants on Fig. 5-style workloads,
-   JSONL round-trips, sampling/retention bounds, registry reset, and
-   the partial path carried by Router.Stuck. *)
+   the exact JSONL lines a trace writes, sampling/retention bounds,
+   registry reset, and the partial path carried by Router.Stuck. *)
 
 open Canon_overlay
 open Canon_core
@@ -9,7 +9,6 @@ module Rng = Canon_rng.Rng
 module Json = Canon_telemetry.Json
 module Metrics = Canon_telemetry.Metrics
 module Span = Canon_telemetry.Span
-module Sink = Canon_telemetry.Sink
 module Trace = Canon_telemetry.Trace
 module Report = Canon_telemetry.Report
 
@@ -107,7 +106,7 @@ let test_span_invariants () =
   let _pop, overlay = crescendo_overlay ~levels:3 ~n:512 in
   (* A synthetic physical latency so cumulative latency is non-trivial. *)
   let latency u v = 1.0 +. Float.of_int ((u + v) mod 7) in
-  let trace = Trace.create ~latency ~sink:(Sink.memory ()) () in
+  let trace = Trace.create ~latency () in
   let rng = Rng.create 5 in
   for _ = 1 to 200 do
     let src = Rng.int_below rng 512 and dst = Rng.int_below rng 512 in
@@ -157,7 +156,24 @@ let test_span_levels_hierarchical () =
   in
   Alcotest.(check bool) "some hop uses a deeper-level link" true deep
 
-(* --- JSONL round-trip --------------------------------------------- *)
+(* --- JSONL lines ---------------------------------------------------- *)
+
+(* The span schema, spelled out independently of [Span.to_jsonl]. *)
+let expected_line span =
+  let event e =
+    Printf.sprintf {|{"node":%d,"level":%d,"lat":%.17g}|} e.Span.node e.Span.level
+      e.Span.cum_latency
+  in
+  let outcome =
+    match span.Span.outcome with
+    | Span.Arrived -> "arrived"
+    | Span.Stuck -> "stuck"
+    | Span.Stranded -> "stranded"
+  in
+  Printf.sprintf
+    {|{"id":%d,"kind":"%s","src":%d,"key":%d,"outcome":"%s","hops":%d,"events":[%s]}|}
+    span.Span.id span.Span.kind span.Span.src span.Span.key outcome (Span.hops span)
+    (String.concat "," (Array.to_list (Array.map event span.Span.events)))
 
 let test_jsonl_roundtrip () =
   let _pop, overlay = crescendo_overlay ~levels:2 ~n:256 in
@@ -172,57 +188,72 @@ let test_jsonl_roundtrip () =
     (fun span ->
       let line = Span.to_jsonl span in
       Alcotest.(check bool) "single line" false (String.contains line '\n');
-      match Json.of_string line with
-      | Error e -> Alcotest.failf "parse error: %s" e
-      | Ok json -> (
-          match Span.of_json json with
-          | Error e -> Alcotest.failf "decode error: %s" e
-          | Ok span' ->
-              Alcotest.(check int) "id" span.Span.id span'.Span.id;
-              Alcotest.(check string) "kind" span.Span.kind span'.Span.kind;
-              Alcotest.(check int) "src" span.Span.src span'.Span.src;
-              Alcotest.(check int) "key" span.Span.key span'.Span.key;
-              Alcotest.(check bool) "outcome" true (span.Span.outcome = span'.Span.outcome);
-              Alcotest.(check (array int)) "path" (Span.path span) (Span.path span');
-              Array.iteri
-                (fun i e ->
-                  let e' = span'.Span.events.(i) in
-                  Alcotest.(check int) "event level" e.Span.level e'.Span.level;
-                  Alcotest.(check (float 1e-12)) "event latency" e.Span.cum_latency
-                    e'.Span.cum_latency)
-                span.Span.events))
-    (Trace.spans trace)
+      Alcotest.(check string) "span line" (expected_line span) line)
+    (Trace.spans trace);
+  let render v = Json.to_string v in
+  Alcotest.(check string) "escapes" {|"q\"b\\s\nn\rr\tt"|}
+    (render (Json.String "q\"b\\s\nn\rr\tt"));
+  Alcotest.(check string) "control characters" {|"\u0001\u001f"|}
+    (render (Json.String "\001\031"));
+  Alcotest.(check string) "negative int" "-42" (render (Json.Int (-42)));
+  Alcotest.(check string) "floats round-trip" "0.10000000000000001" (render (Json.Float 0.1));
+  Alcotest.(check string) "nan is null" "null" (render (Json.Float Float.nan));
+  Alcotest.(check string) "nesting" {|{"a":[1,true,null],"b":{}}|}
+    (render
+       (Json.Obj [ ("a", Json.List [ Json.Int 1; Json.Bool true; Json.Null ]); ("b", Json.Obj []) ]))
+
+let read_lines file =
+  In_channel.with_open_text file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+
+let route_random trace overlay rng ~n =
+  let src = Rng.int_below rng n and dst = Rng.int_below rng n in
+  ignore (Router.greedy_clockwise ~trace overlay ~src ~key:(Overlay.id overlay dst))
 
 let test_jsonl_file_sink () =
   let file = Filename.temp_file "canon_trace" ".jsonl" in
   let _pop, overlay = crescendo_overlay ~levels:2 ~n:128 in
-  let trace = Trace.create ~sink:(Sink.jsonl_file file) () in
+  let trace = Trace.create ~file () in
   let rng = Rng.create 8 in
   for _ = 1 to 25 do
-    let src = Rng.int_below rng 128 and dst = Rng.int_below rng 128 in
-    ignore (Router.greedy_clockwise ~trace overlay ~src ~key:(Overlay.id overlay dst))
+    route_random trace overlay rng ~n:128
   done;
   Trace.flush trace;
-  let ic = open_in file in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
+  let lines = read_lines file in
   Sys.remove file;
-  Alcotest.(check int) "one line per span" 25 (List.length !lines);
-  List.iter
-    (fun line ->
-      match Json.of_string line with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "invalid JSONL line: %s" e)
-    !lines
+  Alcotest.(check int) "one line per span" 25 (List.length lines);
+  Alcotest.(check (list string)) "lines are the spans, in order"
+    (List.map Span.to_jsonl (Trace.spans trace))
+    lines
+
+(* After [flush] the file is closed: further lookups are still counted
+   and retained, but nothing more is written and nothing fails. *)
+let test_flushed_trace () =
+  let file = Filename.temp_file "canon_trace" ".jsonl" in
+  let _pop, overlay = crescendo_overlay ~levels:2 ~n:128 in
+  let trace = Trace.create ~file () in
+  let rng = Rng.create 9 in
+  for _ = 1 to 10 do
+    route_random trace overlay rng ~n:128
+  done;
+  Trace.flush trace;
+  let emitted = Trace.emitted trace and retained = List.length (Trace.spans trace) in
+  let written = List.length (read_lines file) in
+  for _ = 1 to 3 do
+    route_random trace overlay rng ~n:128
+  done;
+  Trace.flush trace;
+  let written' = List.length (read_lines file) in
+  Sys.remove file;
+  Alcotest.(check int) "emitted grows" (emitted + 3) (Trace.emitted trace);
+  Alcotest.(check int) "retained grows" (retained + 3) (List.length (Trace.spans trace));
+  Alcotest.(check int) "file unchanged" written written'
 
 (* --- sampling and retention --------------------------------------- *)
 
 let test_sampling_and_capacity () =
-  let trace = Trace.create ~capacity:5 ~sample_every:3 () in
+  let trace = Trace.create ~sample_every:3 () in
   for i = 0 to 9 do
     Trace.record trace ~kind:"t" ~key:i ~outcome:Span.Arrived ~nodes:[| i |]
       ~level:(fun _ _ -> 0) ()
@@ -230,16 +261,16 @@ let test_sampling_and_capacity () =
   Alcotest.(check int) "seen all" 10 (Trace.seen trace);
   (* Records 1, 4, 7, 10 are kept (1st, then every 3rd). *)
   Alcotest.(check int) "sampled every 3rd" 4 (Trace.emitted trace);
-  let trace2 = Trace.create ~capacity:5 () in
-  for i = 0 to 19 do
+  let trace2 = Trace.create () in
+  for i = 0 to 4099 do
     Trace.record trace2 ~kind:"t" ~key:i ~outcome:Span.Arrived ~nodes:[| i |]
       ~level:(fun _ _ -> 0) ()
   done;
-  Alcotest.(check int) "emitted unbounded" 20 (Trace.emitted trace2);
+  Alcotest.(check int) "emitted unbounded" 4100 (Trace.emitted trace2);
   let retained = Trace.spans trace2 in
-  Alcotest.(check int) "retention bounded" 5 (List.length retained);
-  Alcotest.(check int) "keeps most recent" 19
-    (List.nth retained 4).Span.key
+  Alcotest.(check int) "retention bounded" 4096 (List.length retained);
+  Alcotest.(check int) "drops the oldest" 4 (List.hd retained).Span.key;
+  Alcotest.(check int) "keeps most recent" 4099 (List.nth retained 4095).Span.key
 
 (* --- Stuck carries the partial path ------------------------------- *)
 
@@ -279,11 +310,15 @@ let test_report_renders () =
   Alcotest.(check bool) "counter row present" true
     (List.exists (fun row -> List.hd row = "test.report_counter") rows);
   let json = Json.to_string (Report.metrics_json ()) in
-  match Json.of_string json with
-  | Error e -> Alcotest.failf "metrics json invalid: %s" e
-  | Ok doc ->
-      Alcotest.(check bool) "has counters" true (Json.member "counters" doc <> None);
-      Alcotest.(check bool) "has histograms" true (Json.member "histograms" doc <> None)
+  let contains sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length json && (String.sub json i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "starts with counters" true
+    (String.starts_with ~prefix:{|{"counters":{|} json);
+  Alcotest.(check bool) "counter value" true (contains {|"test.report_counter":3|});
+  Alcotest.(check bool) "has histograms" true (contains {|,"histograms":{|})
 
 let suites =
   [
@@ -296,6 +331,7 @@ let suites =
         Alcotest.test_case "hierarchical link levels" `Quick test_span_levels_hierarchical;
         Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
         Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;
+        Alcotest.test_case "flushed trace stops writing" `Quick test_flushed_trace;
         Alcotest.test_case "sampling and retention" `Quick test_sampling_and_capacity;
         Alcotest.test_case "stuck carries partial path" `Quick test_stuck_partial_path;
         Alcotest.test_case "report rendering" `Quick test_report_renders;
