@@ -34,7 +34,9 @@ val add_fingers :
   ids:Canon_idspace.Id.t array -> Ring.t -> Canon_idspace.Id.t -> cap:int -> Link_set.t -> unit
 (** The Chord rule kept under a cap: for each [k] with [2{^k} < cap],
     the closest node of the ring at least [2{^k}] away from [id], when
-    it lies strictly closer than [cap]. *)
+    it lies strictly closer than [cap]. Every [k] with [2{^k}] up to the
+    successor's distance names the successor, so it is added once and
+    those [k] are skipped. *)
 
 val build : Rings.t -> Overlay.t
 (** Deterministic given the rings. Domains with no nodes contribute

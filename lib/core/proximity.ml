@@ -22,11 +22,7 @@ let shift_of_bits bits = Id.bits - bits
    [ring], calling [f node]. *)
 let iter_group ring ~t_bits g f =
   let shift = shift_of_bits t_bits in
-  let start = g lsl shift and len = 1 lsl shift in
-  let count = Ring.arc_count ring ~start ~len in
-  for i = 0 to count - 1 do
-    f (Ring.arc_nth ring ~start ~len i)
-  done
+  Ring.iter_arc ring ~start:(g lsl shift) ~len:(1 lsl shift) f
 
 let min_latency_member ring ~t_bits g ~node_latency ~self =
   let best = ref (-1) and best_lat = ref infinity in
@@ -100,9 +96,12 @@ let add_prox_fingers ~ids ~node_latency node ring id ~cap acc =
             (* Sample at most 32 candidates, as the paper notes s = 32
                suffices. *)
             let stride = max 1 (count / 32) in
+            (* Index the arc's ranks directly: without a cap an arc can
+               hold half the ring, too many to walk for 32 samples. *)
+            let lo = Ring.rank_at_or_after ring start in
             let i = ref 0 in
             while !i < count do
-              let peer = Ring.arc_nth ring ~start ~len !i in
+              let peer = Ring.node_at ring ((lo + !i) mod Ring.size ring) in
               if peer <> node then begin
                 let l = node_latency node peer in
                 if l < !best_lat then begin

@@ -6,15 +6,16 @@ type t = {
 let create pop ~links =
   let n = Population.size pop in
   if Array.length links <> n then invalid_arg "Overlay.create: adjacency size mismatch";
+  (* [seen.(dst) = src] once [src]'s list has named [dst]. *)
+  let seen = Array.make n (-1) in
   Array.iteri
     (fun src targets ->
-      let seen = Hashtbl.create (Array.length targets) in
       Array.iter
         (fun dst ->
           if dst = src then invalid_arg "Overlay.create: self-link";
           if dst < 0 || dst >= n then invalid_arg "Overlay.create: target out of range";
-          if Hashtbl.mem seen dst then invalid_arg "Overlay.create: duplicate link";
-          Hashtbl.add seen dst ())
+          if seen.(dst) = src then invalid_arg "Overlay.create: duplicate link";
+          seen.(dst) <- src)
         targets)
     links;
   { population = pop; links }

@@ -89,13 +89,25 @@ let arc_nth t ~start ~len i =
   let rank = lo + i in
   t.nodes.(if rank < size t then rank else rank - size t)
 
+let iter_arc t ~start ~len f =
+  if len < 0 || len > Id.space then invalid_arg "Ring.iter_arc: bad length";
+  (* Walk clockwise from the first member at or after [start]: distances
+     from [start] only grow, so the first one past [len] ends the arc. *)
+  let rank = ref (lower_bound t start) and seen = ref 0 in
+  if !rank = t.size then rank := 0;
+  while !seen < t.size && Id.distance start t.ids.(!rank) < len do
+    f t.nodes.(!rank);
+    incr seen;
+    incr rank;
+    if !rank = t.size then rank := 0
+  done
+
 let finger t id d =
   require_non_empty t;
   if d < 1 then invalid_arg "Ring.finger: distance must be >= 1";
-  let target = first_at_or_after t (Id.add id d) in
   let i = lower_bound t (Id.add id d) in
-  let found_id = if i < size t then t.ids.(i) else t.ids.(0) in
-  if found_id = id then None else Some target
+  let i = if i < t.size then i else 0 in
+  if t.ids.(i) = id then None else Some t.nodes.(i)
 
 let insert t ~id ~node =
   let rank = lower_bound t id in

@@ -61,7 +61,16 @@ val arc_count : t -> start:Id.t -> len:int -> int
 
 val arc_nth : t -> start:Id.t -> len:int -> int -> int
 (** [arc_nth t ~start ~len i] is the node at clockwise position [i]
-    (0-based) within that arc; requires [i < arc_count t ~start ~len]. *)
+    (0-based) within that arc; requires [i < arc_count t ~start ~len].
+    Each call costs three O(log n) binary searches, so do not call it in
+    a loop over the arc: use {!iter_arc}, or {!rank_at_or_after} and
+    {!node_at} to index into it. *)
+
+val iter_arc : t -> start:Id.t -> len:int -> (int -> unit) -> unit
+(** [iter_arc t ~start ~len f] calls [f node] for every member of the
+    clockwise arc [\[start, start+len)], in clockwise order (the order of
+    {!arc_nth}'s positions). One binary search, then a walk:
+    O(log n + arc size). Requires [0 <= len <= Id.space]. *)
 
 val rank_at_or_after : t -> Id.t -> int
 (** Rank (in sorted order, not wrapping) of the first member with

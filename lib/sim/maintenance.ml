@@ -119,11 +119,8 @@ let finger_candidates t m ~into =
             let len = hi - lo in
             if len > 0 then begin
               let start = Id.add id_p (-(hi - 1)) in
-              let count = Ring.arc_count ring ~start ~len in
-              for i = 0 to count - 1 do
-                let y = Ring.arc_nth ring ~start ~len i in
-                if y <> m then Hashtbl.replace into y ()
-              done
+              Ring.iter_arc ring ~start ~len (fun y ->
+                  if y <> m then Hashtbl.replace into y ())
             end
           done
         end

@@ -597,6 +597,117 @@ let prop_rules_match_scan ~case_seed ~n =
   | Error _ as e -> e
   | Ok () -> mismatch "can" (links (Can.build pop)) (scan_links ids ~score:bucket_score)
 
+(* --- capped fingers and arc walks in the 128-slot space ------------- *)
+
+(* The closest member of [ring] at least [d] clockwise of [id], by a
+   scan over every member; None when only [id] itself qualifies. *)
+let scan_finger ids ring id d =
+  Array.fold_left
+    (fun best v ->
+      let dv = Id.distance id ids.(v) in
+      if dv = 0 || dv < d then best
+      else match best with Some (_, db) when db <= dv -> best | _ -> Some (v, dv))
+    None (Ring.members ring)
+  |> Option.map fst
+
+(* The Chord rule kept under a cap as the plain loop over every k. *)
+let all_k_fingers ids ring id ~cap acc =
+  for k = 0 to Id.bits - 1 do
+    if 1 lsl k < cap then
+      match scan_finger ids ring id (1 lsl k) with
+      | Some v when cap = Id.space || Id.distance id ids.(v) < cap -> Link_set.add acc v
+      | Some _ | None -> ()
+  done
+
+(* Random chains of 2-3 rings over nested member subsets, the top ring
+   holding every node: each node of the leaf ring gets the same links,
+   in the same order, from Crescendo.links as from Canon.merge over the
+   all-k loop. In such a chain the merged ring's successor never lies
+   past the cap unless it is linked already, so add_fingers is also
+   checked alone, on a random ring of the chain under a random cap. *)
+let prop_capped_fingers_match_all_k ~case_seed ~n =
+  let rng = Rng.create (case_seed lxor 0x3c4d) in
+  let slots = Array.init 128 Fun.id in
+  Rng.shuffle_in_place rng slots;
+  let ids = Array.init n (fun v -> slots.(v) lsl 25) in
+  let levels = 2 + Rng.int_below rng 2 in
+  let chain = Array.make levels (Ring.of_members ~ids ~members:(Array.init n Fun.id)) in
+  let members = ref (Array.init n Fun.id) in
+  for level = levels - 2 downto 0 do
+    let m = !members in
+    Rng.shuffle_in_place rng m;
+    members := Array.sub m 0 (1 + Rng.int_below rng (Array.length m));
+    chain.(level) <- Ring.of_members ~ids ~members:!members
+  done;
+  let show a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let alone rule ring v ~cap =
+    let acc = Link_set.create ~self:v in
+    rule ring ids.(v) ~cap acc;
+    Link_set.to_array acc
+  in
+  Array.fold_left
+    (fun acc v ->
+      match acc with
+      | Error _ -> acc
+      | Ok () ->
+          let got = Crescendo.links ~ids chain v in
+          let expect =
+            Canon.merge ~ids chain v
+              ~leaf:(all_k_fingers ids ~cap:Id.space)
+              ~above:(all_k_fingers ids)
+          in
+          let ring = chain.(Rng.int_below rng levels) in
+          let cap =
+            if Rng.bool rng then (1 + Rng.int_below rng 128) lsl 25
+            else 1 + Rng.int_below rng (Id.space - 1)
+          in
+          let got_alone = alone (Crescendo.add_fingers ~ids) ring v ~cap in
+          let expect_alone = alone (all_k_fingers ids) ring v ~cap in
+          if got <> expect then
+            err "%d-ring chain, node %d: links [%s], all-k loop gives [%s]" levels v (show got)
+              (show expect)
+          else if got_alone <> expect_alone then
+            err "node %d, ring of %d, cap %d: add_fingers gives [%s], all-k loop [%s]" v
+              (Ring.size ring) cap (show got_alone) (show expect_alone)
+          else Ok ())
+    (Ok ()) (Ring.members chain.(0))
+
+(* [iter_arc] yields exactly the nodes at the [arc_nth] positions, in
+   order, over random rings (empty ones included) and arcs: empty, full,
+   wrapping, and starting on or between member slots. *)
+let prop_iter_arc_matches_arc_nth ~case_seed ~n =
+  let rng = Rng.create (case_seed lxor 0x7a11) in
+  let slots = Array.init 128 Fun.id in
+  Rng.shuffle_in_place rng slots;
+  let ids = Array.init n (fun v -> slots.(v) lsl 25) in
+  let ring = Ring.of_members ~ids ~members:(Array.init (Rng.int_below rng (n + 1)) Fun.id) in
+  let arc () =
+    let start = Id.add (Rng.int_below rng 128 lsl 25) (if Rng.bool rng then 0 else 1 lsl 24) in
+    let len =
+      match Rng.int_below rng 4 with
+      | 0 -> 0
+      | 1 -> Id.space
+      | 2 -> Rng.int_below rng 129 lsl 25
+      | _ -> Rng.int_below rng Id.space
+    in
+    (start, len)
+  in
+  let rec go = function
+    | 0 -> Ok ()
+    | tries ->
+        let start, len = arc () in
+        let walked = ref [] in
+        Ring.iter_arc ring ~start ~len (fun v -> walked := v :: !walked);
+        let expect =
+          List.init (Ring.arc_count ring ~start ~len) (Ring.arc_nth ring ~start ~len)
+        in
+        if List.rev !walked = expect then go (tries - 1)
+        else
+          err "ring of %d, arc start %d len %d: iter_arc gives %d members, arc_nth %d"
+            (Ring.size ring) start len (List.length !walked) (List.length expect)
+  in
+  go 20
+
 (* --- the latency oracle and percentile edges ----------------------- *)
 
 module Transit_stub = Canon_topology.Transit_stub
@@ -837,6 +948,12 @@ let suites =
       [
         Alcotest.test_case "chord finger, can bucket = linear scan" `Quick
           (check_sizes ~cases:100 ~seed:2718 ~stride:541 ~max_n:128 prop_rules_match_scan);
+        Alcotest.test_case "capped fingers = all-k loop" `Quick
+          (check_sizes ~cases:200 ~seed:1618 ~stride:379 ~max_n:128
+             prop_capped_fingers_match_all_k);
+        Alcotest.test_case "iter_arc = arc_nth" `Quick
+          (check_sizes ~cases:200 ~seed:1414 ~stride:433 ~max_n:128
+             prop_iter_arc_matches_arc_nth);
       ] );
     ( "prop.replication",
       [

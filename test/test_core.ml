@@ -916,7 +916,89 @@ let test_overlay_validation () =
   Overlay.iter_links ov (fun _ _ -> incr count);
   Alcotest.(check int) "iter_links count" 3 !count
 
+(* Each rejection names its error, whichever node's list holds the bad
+   link; a target shared by two nodes' lists is not a duplicate. *)
+let rejects msg links () =
+  let pop = make_pop ~seed:99 ~fanout:3 ~levels:1 ~n:4 () in
+  ignore (Overlay.create pop ~links:[| [| 1; 2 |]; [| 2; 0 |]; [| 0 |]; [| 2 |] |]);
+  List.iter
+    (fun links ->
+      Alcotest.check_raises msg (Invalid_argument ("Overlay.create: " ^ msg)) (fun () ->
+          ignore (Overlay.create pop ~links)))
+    links
+
+let test_overlay_rejects_self_link =
+  rejects "self-link" [ [| [| 0 |]; [||]; [||]; [||] |]; [| [| 1 |]; [||]; [| 3; 2 |]; [||] |] ]
+
+let test_overlay_rejects_out_of_range =
+  rejects "target out of range"
+    [ [| [| 4 |]; [||]; [||]; [||] |]; [| [||]; [| 0; -1 |]; [||]; [||] |] ]
+
+let test_overlay_rejects_duplicate =
+  rejects "duplicate link"
+    [ [| [| 1; 1 |]; [||]; [||]; [||] |]; [| [| 1; 2 |]; [||]; [||]; [| 1; 2; 0; 2 |] |] ]
+
+(* --- Link_set ------------------------------------------------------ *)
+
+(* Targets spread up to 10^5, far past any initial mark array, with
+   repeats and self-links: the set keeps first occurrences in order. *)
+let test_link_set_order_and_dedup () =
+  let rng = Rng.create 5 in
+  let self = 77 in
+  let pool = Array.init 300 (fun i -> if i = 0 then self else Rng.int_below rng 100_001) in
+  let adds = List.init 3000 (fun _ -> pool.(Rng.int_below rng 300)) @ [ 100_000 ] in
+  let acc = Link_set.create ~self in
+  List.iter (Link_set.add acc) adds;
+  let expect =
+    List.rev
+      (List.fold_left
+         (fun seen x -> if x = self || List.mem x seen then seen else x :: seen)
+         [] adds)
+  in
+  Alcotest.(check (array int)) "first occurrences in order" (Array.of_list expect)
+    (Link_set.to_array acc);
+  List.iter
+    (fun x -> Alcotest.(check bool) "mem" (x <> self) (Link_set.mem acc x))
+    adds;
+  Alcotest.(check bool) "absent" false (Link_set.mem acc 100_001)
+
+let test_link_set_fresh_per_create () =
+  let first = Link_set.create ~self:3 in
+  List.iter (Link_set.add first) [ 5; 9; 200 ];
+  Alcotest.(check (array int)) "first" [| 5; 9; 200 |] (Link_set.to_array first);
+  let second = Link_set.create ~self:3 in
+  Alcotest.(check bool) "no marks from the earlier set" false
+    (List.exists (Link_set.mem second) [ 5; 9; 200 ]);
+  List.iter (Link_set.add second) [ 9; 5 ];
+  Alcotest.(check (array int)) "second" [| 9; 5 |] (Link_set.to_array second)
+
+let test_link_set_stale_raises () =
+  let stale = Link_set.create ~self:0 in
+  Link_set.add stale 1;
+  let live = Link_set.create ~self:1 in
+  let err = Invalid_argument "Link_set: set used after a later Link_set.create" in
+  Alcotest.check_raises "add" err (fun () -> Link_set.add stale 2);
+  Alcotest.check_raises "mem" err (fun () -> ignore (Link_set.mem stale 1));
+  Alcotest.(check (array int)) "stale targets kept" [| 1 |] (Link_set.to_array stale);
+  Link_set.add live 2;
+  Alcotest.(check (array int)) "live set unaffected" [| 2 |] (Link_set.to_array live)
+
 let validation_suites =
-  [ ("overlay", [ Alcotest.test_case "validation" `Quick test_overlay_validation ]) ]
+  [
+    ( "overlay",
+      [
+        Alcotest.test_case "validation" `Quick test_overlay_validation;
+        Alcotest.test_case "rejects self-link" `Quick test_overlay_rejects_self_link;
+        Alcotest.test_case "rejects out-of-range target" `Quick
+          test_overlay_rejects_out_of_range;
+        Alcotest.test_case "rejects duplicate link" `Quick test_overlay_rejects_duplicate;
+      ] );
+    ( "link_set",
+      [
+        Alcotest.test_case "order and dedup past 10^5" `Quick test_link_set_order_and_dedup;
+        Alcotest.test_case "fresh marks per create" `Quick test_link_set_fresh_per_create;
+        Alcotest.test_case "stale set raises" `Quick test_link_set_stale_raises;
+      ] );
+  ]
 
 let suites = suites @ validation_suites
